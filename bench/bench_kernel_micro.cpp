@@ -185,23 +185,6 @@ void BM_ExperimentSmall(benchmark::State& state) {
 }
 BENCHMARK(BM_ExperimentSmall)->Unit(benchmark::kMillisecond);
 
-/// The same experiment on the sharded kernel (arg = sim.shards). Identical
-/// metrics by contract (golden-pinned); the delta against BM_ExperimentSmall
-/// is the round-synchronization overhead vs parallel-execution win — on a
-/// multi-core host the crossover is where sharding starts paying.
-void BM_ExperimentSmallSharded(benchmark::State& state) {
-  ExperimentConfig cfg = small_config();
-  cfg.sim.shards = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const RunMetrics m = run_experiment(cfg);
-    benchmark::DoNotOptimize(m.bandwidth_mbps);
-  }
-}
-BENCHMARK(BM_ExperimentSmallSharded)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace saisim
 

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "pfs/meta_server.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulation.hpp"
 #include "trace/counter_registry.hpp"
 #include "trace/runtime.hpp"
 #include "trace/tracer.hpp"
@@ -15,12 +15,11 @@ namespace saisim {
 #if defined(SAISIM_TELEMETRY_ENABLED)
 namespace {
 
-// Drives one shard's TimelineSampler: a self-rescheduling event in that
-// shard's own queue, so every sample executes on the thread that owns the
-// probed state and ticks land at exactly k * period in simulated time.
-// Ticks read model state but never mutate it and never draw RNG, so the
-// model event sequence — and with it every golden fingerprint — is
-// unchanged whether sampling is on or off.
+// Drives the run's TimelineSampler: a self-rescheduling event, so ticks
+// land at exactly k * period in simulated time. Ticks read model state but
+// never mutate it and never draw RNG, so the model event sequence — and
+// with it every golden fingerprint — is unchanged whether sampling is on or
+// off.
 struct SamplerDriver {
   sim::Simulation* sim = nullptr;
   trace::TimelineSampler* sampler = nullptr;
@@ -91,84 +90,37 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   // Without an own tracer the ambient one (if any) stays installed — tests
   // wrap run_experiment in a TraceScope to capture its event stream.
 
-  // The sharded DES core. One shard degenerates to the legacy serial
-  // kernel (no workers, the exact pre-shard run loop); S > 1 partitions the
-  // topology over S queues synchronized by conservative lookahead — the
-  // switch store-and-forward latency, which every cross-shard path pays.
-  const int num_shards = cfg.sim.shards;
-  SAISIM_CHECK(num_shards >= 1);
-  const Time lookahead = cfg.sim.lookahead_override > Time::zero()
-                             ? cfg.sim.lookahead_override
-                             : cfg.switch_latency;
-  sim::Engine engine(cfg.seed, num_shards, lookahead);
-  sim::Simulation& simulation = engine.shard(0);
-  net::Network network(engine, cfg.switch_latency);
-
-  // Worker shards record into their own tracers; the streams are merged by
-  // timestamp (stable by shard rank) after the run. Shard 0 runs on this
-  // thread and inherits the ambient TraceScope installed above.
-  std::vector<std::unique_ptr<trace::Tracer>> shard_tracers;
-  if (tracer != nullptr) {
-    for (int r = 1; r < num_shards; ++r) {
-      shard_tracers.push_back(
-          std::make_unique<trace::Tracer>(topts.mask, topts.capacity));
-      engine.set_tracer(r, shard_tracers.back().get());
-    }
-  }
-
-  // Partition function: all client machines home on shard 0 — the control
-  // shard, whose clock is the run clock and whose RNG stream is the root
-  // seed, so every model RNG site (all on clients) draws the same sequence
-  // at any shard count. I/O + metadata servers spread round-robin over
-  // shards 1..S-1 in creation order.
-  int next_remote = 0;
-  auto server_shard = [num_shards, &next_remote] {
-    return num_shards == 1 ? 0 : 1 + (next_remote++ % (num_shards - 1));
-  };
+  sim::Simulation simulation(cfg.seed);
+  net::Network network(simulation, cfg.switch_latency);
 
   // Fault injection: only instantiated when a knob is armed, so the
-  // default (lossless) fabric pays nothing beyond one empty-check per send
+  // default (lossless) fabric pays nothing beyond one null check per send
   // and its metrics/counters are byte-identical to pre-injector builds.
-  // One injector per shard (see net::shard_fault_seed); shard 0's keeps the
-  // configured seed so 1-shard faulty runs replay the single-injector
-  // fabric bit-for-bit.
-  std::vector<std::unique_ptr<net::FaultInjector>> faults;
+  std::optional<net::FaultInjector> faults;
   if (net::fault_enabled(cfg.fault)) {
-    std::vector<net::FaultInjector*> per_shard;
-    for (int r = 0; r < num_shards; ++r) {
-      net::FaultConfig fc = cfg.fault;
-      fc.seed = net::shard_fault_seed(cfg.fault.seed, r);
-      faults.push_back(std::make_unique<net::FaultInjector>(fc));
-      per_shard.push_back(faults.back().get());
-    }
-    network.set_fault_injectors(std::move(per_shard));
+    faults.emplace(cfg.fault);
+    network.set_fault_injector(&*faults);
   }
 
   // Topology: I/O servers, the metadata server, then the client machines.
   std::vector<NodeId> server_nodes;
-  std::vector<int> server_shards;
   server_nodes.reserve(static_cast<u64>(cfg.num_servers));
   for (int s = 0; s < cfg.num_servers; ++s) {
-    const int shard = server_shard();
-    server_shards.push_back(shard);
     server_nodes.push_back(network.add_node(cfg.server.nic_bandwidth,
                                             cfg.server.nic_bandwidth,
-                                            cfg.link_latency, shard));
+                                            cfg.link_latency));
   }
-  const int meta_shard = server_shard();
   const NodeId meta_node = network.add_node(
-      Bandwidth::gbit(1.0), Bandwidth::gbit(1.0), cfg.link_latency,
-      meta_shard);
+      Bandwidth::gbit(1.0), Bandwidth::gbit(1.0), cfg.link_latency);
 
   std::vector<std::unique_ptr<pfs::IoServer>> servers;
   servers.reserve(server_nodes.size());
-  for (u64 s = 0; s < server_nodes.size(); ++s) {
+  for (const NodeId node : server_nodes) {
     servers.push_back(std::make_unique<pfs::IoServer>(
-        engine.shard(server_shards[s]), network, server_nodes[s],
-        cfg.server.io, cfg.server.cache, cfg.server.sched));
+        simulation, network, node, cfg.server.io, cfg.server.cache,
+        cfg.server.sched));
   }
-  pfs::MetaServer meta(engine.shard(meta_shard), network, meta_node,
-                       cfg.meta);
+  pfs::MetaServer meta(simulation, network, meta_node, cfg.meta);
 
   std::vector<std::unique_ptr<ClientNode>> clients;
   clients.reserve(static_cast<u64>(cfg.num_clients));
@@ -181,26 +133,21 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   }
 
 #if defined(SAISIM_TELEMETRY_ENABLED)
-  // Time-resolved telemetry: one sampler per shard, each probe registered
-  // on the shard that owns the state it reads (clients on the control
-  // shard, each server on its home shard), driven by self-rescheduling
-  // tick events. Metric names carry client/server indices — never shard
-  // ranks — so the merged timeline is bit-identical across sim.shards.
-  std::vector<std::unique_ptr<trace::TimelineSampler>> samplers;
-  std::vector<std::unique_ptr<SamplerDriver>> sampler_drivers;
-  std::vector<std::unique_ptr<trace::Tracer>> flight_rings;
+  // Time-resolved telemetry: one sampler, its probes driven by a
+  // self-rescheduling tick event. Metric names carry client/server
+  // indices.
+  std::optional<trace::TimelineSampler> sampler;
+  std::optional<SamplerDriver> sampler_driver;
+  std::optional<trace::Tracer> flight_ring;
   std::optional<trace::TraceScope> flight_scope;
   const bool telemetry_on = trace::telemetry_enabled(cfg.telemetry);
   const trace::TelemetrySloConfig& slo = cfg.telemetry.slo;
   if (telemetry_on) {
-    for (int r = 0; r < num_shards; ++r) {
-      samplers.push_back(std::make_unique<trace::TimelineSampler>(
-          cfg.telemetry.sample_period, slo.window,
-          cfg.telemetry.flight_recorder_events));
-    }
+    sampler.emplace(cfg.telemetry.sample_period, slo.window,
+                    cfg.telemetry.flight_recorder_events);
+    trace::TimelineSampler& ts = *sampler;
     for (int c = 0; c < cfg.num_clients; ++c) {
       ClientNode* cl = clients[static_cast<u64>(c)].get();
-      trace::TimelineSampler& ts = *samplers[0];  // clients home on shard 0
       const std::string p = "client" + std::to_string(c);
       ts.add_gauge(p + ".pfs.inflight", [cl] {
         return static_cast<i64>(cl->pfs().inflight_requests());
@@ -237,8 +184,6 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
     }
     for (u64 s = 0; s < servers.size(); ++s) {
       pfs::IoServer* srv = servers[s].get();
-      trace::TimelineSampler& ts =
-          *samplers[static_cast<u64>(server_shards[s])];
       const std::string p = "server" + std::to_string(s);
       const u64 depth = ts.add_gauge(p + ".cpu_qdepth", [srv] {
         return static_cast<i64>(srv->cpu_queue_depth());
@@ -256,49 +201,29 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
         return static_cast<i64>(srv->stats().bytes_served);
       });
     }
-    samplers[static_cast<u64>(meta_shard)]->add_counter(
-        "meta.lookups",
-        [&meta] { return static_cast<i64>(meta.lookups()); });
+    ts.add_counter("meta.lookups",
+                   [&meta] { return static_cast<i64>(meta.lookups()); });
     if (cfg.telemetry.kernel_gauges) {
-      // Per-shard kernel occupancy — rank-keyed, so legitimately different
-      // across sim.shards values; opt-in and excluded from the
-      // shard-identity contract.
-      for (int r = 0; r < num_shards; ++r) {
-        sim::Simulation* shard_sim = &engine.shard(r);
-        samplers[static_cast<u64>(r)]->add_gauge(
-            "sim.shard" + std::to_string(r) + ".pending_events",
-            [shard_sim] {
-              return static_cast<i64>(shard_sim->pending_events());
-            });
-      }
+      // Kernel queue occupancy (opt-in diagnostics; see TelemetryConfig).
+      ts.add_gauge(trace::kPendingEventsGauge, [&simulation] {
+        return static_cast<i64>(simulation.pending_events());
+      });
     }
-    // Flight recorder: when the watchdog is armed and no full trace was
-    // requested, give every shard a small ring tracer so a breach can dump
-    // the events leading up to it. Ambient tracers (tests wrapping the run
-    // in a TraceScope) are left installed — the ring must never steal
-    // events from a requested capture.
-    if (trace::slo_armed(cfg.telemetry) && tracer == nullptr) {
-      if (trace::Tracer::current() == nullptr) {
-        flight_rings.push_back(std::make_unique<trace::Tracer>(
-            trace::kAllSubsystems, cfg.telemetry.flight_recorder_events,
-            /*ring=*/true));
-        flight_scope.emplace(flight_rings.back().get());
-      }
-      for (int r = 1; r < num_shards; ++r) {
-        flight_rings.push_back(std::make_unique<trace::Tracer>(
-            trace::kAllSubsystems, cfg.telemetry.flight_recorder_events,
-            /*ring=*/true));
-        engine.set_tracer(r, flight_rings.back().get());
-      }
+    // Flight recorder: when the watchdog is armed and no trace is being
+    // recorded, install a small ring tracer so a breach can dump the
+    // events leading up to it. Ambient tracers (tests wrapping the run in
+    // a TraceScope) are left installed — the ring must never steal events
+    // from a requested capture.
+    if (trace::slo_armed(cfg.telemetry) &&
+        trace::Tracer::current() == nullptr) {
+      flight_ring.emplace(trace::kAllSubsystems,
+                          cfg.telemetry.flight_recorder_events,
+                          /*ring=*/true);
+      flight_scope.emplace(&*flight_ring);
     }
-    for (int r = 0; r < num_shards; ++r) {
-      if (!samplers[static_cast<u64>(r)]->has_probes()) continue;
-      sampler_drivers.push_back(std::make_unique<SamplerDriver>());
-      sampler_drivers.back()->sim = &engine.shard(r);
-      sampler_drivers.back()->sampler = samplers[static_cast<u64>(r)].get();
-      sampler_drivers.back()->period = cfg.telemetry.sample_period;
-      sampler_drivers.back()->arm();
-    }
+    sampler_driver.emplace(
+        SamplerDriver{&simulation, &ts, cfg.telemetry.sample_period});
+    sampler_driver->arm();
   }
 #endif  // SAISIM_TELEMETRY_ENABLED
 
@@ -332,13 +257,14 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
     p->start([&remaining](const workload::IorProcessStats&) { --remaining; });
   }
 
-  // Advance to completion. The stop predicate lives on shard 0 (every IOR
-  // process is a client, and clients home there), so the engine halts at
-  // exactly the event that finishes the workload — worker shards may have
-  // conservatively run ahead within the last lookahead window, which is
-  // invisible to the metrics below: every RunMetrics field derives from
-  // client-side state or from shard 0's clock.
-  engine.run_while([&remaining] { return remaining > 0; }, cfg.max_sim_time);
+  // Advance to completion: stop at exactly the event that finishes the
+  // workload.
+  while (remaining > 0) {
+    SAISIM_CHECK_MSG(simulation.step(),
+                     "workload did not complete: event queue drained");
+    SAISIM_CHECK_MSG(simulation.now() <= cfg.max_sim_time,
+                     "workload did not complete within max_sim_time");
+  }
 
   // ---- Metric aggregation --------------------------------------------
   // The end-of-run barrier: subsystem stats are published into a named
@@ -444,8 +370,8 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   registry.counter("meta.queue_wait_ps")
       .add(static_cast<u64>(meta.queue_wait_ps()));
   registry.counter("meta.max_queue_depth").add(meta.max_queue_depth());
-  for (auto& injector : faults) {  // summed in shard-rank order
-    const net::FaultStats& fs = injector->stats();
+  if (faults) {
+    const net::FaultStats& fs = faults->stats();
     registry.counter("fault.packets_dropped").add(fs.packets_dropped);
     registry.counter("fault.packets_duplicated").add(fs.packets_duplicated);
     registry.counter("fault.packets_jittered").add(fs.packets_jittered);
@@ -455,31 +381,8 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
     registry.counter("fault.degraded_packets").add(fs.degraded_packets);
   }
 
-  // Kernel utilization: per-shard executed/pending event counts, so
-  // tools/trace_summary can report shard imbalance, plus the totals and the
-  // round/cross-post traffic of the conservative synchronizer.
-  u64 events_total = 0;
-  u64 pending_total = 0;
-  for (int r = 0; r < num_shards; ++r) {
-    const std::string prefix = "sim.shard" + std::to_string(r);
-    const u64 executed = engine.shard(r).events_executed();
-    const u64 pending = engine.shard(r).pending_events();
-    registry.counter(prefix + ".events_executed").add(executed);
-    registry.counter(prefix + ".pending_events").add(pending);
-    // Barrier diagnostics: windows the shard actually executed, and the
-    // wall-clock time the coordinator spent waiting on it (0 when windows
-    // ran inline). Wall time never feeds a simulated metric — it lives in
-    // the metrics CSV only, so goldens stay bit-exact.
-    registry.counter(prefix + ".rounds").add(engine.shard_rounds(r));
-    registry.counter(prefix + ".sync_wait_ns").add(engine.shard_sync_wait_ns(r));
-    events_total += executed;
-    pending_total += pending;
-  }
-  registry.counter("sim.events_executed").add(events_total);
-  registry.counter("sim.pending_events").add(pending_total);
-  registry.counter("sim.shards").add(static_cast<u64>(num_shards));
-  registry.counter("sim.rounds").add(engine.rounds());
-  registry.counter("sim.cross_shard_posts").add(engine.cross_shard_posts());
+  registry.counter("sim.events_executed").add(simulation.events_executed());
+  registry.counter("sim.pending_events").add(simulation.pending_events());
   m.c2c_transfers = registry.value("mem.c2c_transfers");
   m.interrupts = registry.value("nic.interrupts");
   m.rx_drops = registry.value("nic.rx_dropped");
@@ -531,17 +434,14 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   m.hinted_interrupt_share_x1e4 =
       raised ? registry.value("apic.hinted_routes") * 10'000 / raised : 0;
 
-  // Merge the per-shard telemetry series into the export-ready timeline
-  // and derive the SLO verdict. All counters below are registered only
-  // when telemetry is on, so telemetry-off metrics CSVs stay bit-identical
-  // to pre-telemetry builds.
+  // Turn the sampled series into the export-ready timeline and derive the
+  // SLO verdict. All counters below are registered only when telemetry is
+  // on, so telemetry-off metrics CSVs stay bit-identical to pre-telemetry
+  // builds.
   trace::TimelineSeries timeline;
 #if defined(SAISIM_TELEMETRY_ENABLED)
   if (telemetry_on) {
-    std::vector<const trace::TimelineSampler*> by_rank;
-    by_rank.reserve(samplers.size());
-    for (auto& s : samplers) by_rank.push_back(s.get());
-    timeline = trace::merge_timelines(by_rank);
+    timeline = sampler->series();
     m.slo_breaches = timeline.breaches.size();
     if (!timeline.breaches.empty()) {
       m.first_slo_breach_us = static_cast<u64>(
@@ -561,13 +461,8 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
     run.label = std::string(policy_name(cfg.policy));
     run.sort_key = util::reflect::fingerprint_of(cfg);
     if (tracer) {
-      // Per-shard streams merge by timestamp, stable by shard rank (shard 0
-      // first) — deterministic at a fixed shard count. With one shard this
-      // is exactly the pre-shard single-stream path.
-      std::vector<std::vector<trace::Event>> streams;
-      streams.push_back(tracer->take());
-      for (auto& t : shard_tracers) streams.push_back(t->take());
-      run.events = trace::merge_event_streams(std::move(streams));
+      run.events = tracer->take();
+      trace::sort_by_time(run.events);
       run.spans = trace::build_spans(run.events);
     }
     run.counters = registry.snapshot();

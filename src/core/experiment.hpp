@@ -50,30 +50,6 @@ struct ServerMachineConfig {
   Bandwidth nic_bandwidth = Bandwidth::gbit(1.0);
 };
 
-/// Simulation-kernel knobs (the sharded parallel DES core).
-struct SimKernelConfig {
-  /// Event-queue shards the kernel runs on. 1 = the serial kernel (the
-  /// exact pre-shard run loop). With S > 1, all client machines home on
-  /// shard 0 (the control shard, which also owns the root RNG stream and
-  /// the stop predicate) and the I/O + metadata servers spread round-robin
-  /// over shards 1..S-1; rounds execute on S-1 worker threads under a
-  /// conservative lookahead. Goldens are bit-exact at any value.
-  int shards = 1;
-  /// Conservative lookahead override. Zero (the default) derives the
-  /// lookahead from the topology: the switch store-and-forward latency,
-  /// which every cross-shard path pays. A smaller explicit value is legal
-  /// (just more rounds); a larger one would violate the conservative
-  /// contract and is rejected.
-  Time lookahead_override = Time::zero();
-};
-
-template <class V>
-void describe(V& v, SimKernelConfig& c) {
-  namespace r = util::reflect;
-  v.field("shards", c.shards, r::in_range(1, 64));
-  v.field("lookahead_override", c.lookahead_override, r::non_negative());
-}
-
 struct ExperimentConfig {
   int num_clients = 1;
   int num_servers = 8;
@@ -97,8 +73,6 @@ struct ExperimentConfig {
   Time max_sim_time = Time::sec(600);
   /// Network fault injection (all knobs default to off — lossless fabric).
   net::FaultConfig fault{};
-  /// Simulation-kernel parallelism (sim.shards, sim.lookahead_override).
-  SimKernelConfig sim{};
   /// Time-resolved telemetry: deterministic metric sampling + SLO watchdog
   /// (off by default — telemetry.sample_period = 0 records nothing).
   trace::TelemetryConfig telemetry{};
@@ -151,19 +125,11 @@ void describe(V& v, ExperimentConfig& c) {
   v.field("seed", c.seed, r::non_negative());
   v.field("max_sim_time", c.max_sim_time, r::positive());
   v.group("fault", c.fault);
-  v.group("sim", c.sim);
   v.group("telemetry", c.telemetry);
   v.invariant(!trace::slo_armed(c.telemetry) ||
                   trace::telemetry_enabled(c.telemetry),
               "telemetry.slo thresholds need telemetry.sample_period > 0: "
               "the watchdog evaluates at sample ticks");
-  v.invariant(c.sim.shards == 1 || c.switch_latency > Time::zero(),
-              "sim.shards > 1 needs a positive switch_latency: every "
-              "cross-shard path must carry at least the lookahead");
-  v.invariant(c.sim.shards == 1 ||
-                  c.sim.lookahead_override <= c.switch_latency,
-              "sim.lookahead_override must not exceed switch_latency (the "
-              "minimum cross-shard latency bounds the safe lookahead)");
 }
 
 /// Aggregate results of one run (all clients combined).
@@ -242,7 +208,7 @@ RunMetrics run_experiment(const ExperimentConfig& cfg);
 /// As above, but also fills `capture` with the run's observability output
 /// (merged telemetry timeline, counters, any recorded events) instead of
 /// relying on the process-wide RunCollector — the deterministic-telemetry
-/// tests diff captures across shard counts and reruns through this.
+/// tests diff captures across reruns through this.
 RunMetrics run_experiment(const ExperimentConfig& cfg,
                           trace::RunTrace* capture);
 

@@ -27,12 +27,12 @@
 //                        (factor - 1) x its destination-downlink
 //                        serialization again (effective bandwidth / factor).
 //
-// Determinism: one injector per simulation shard, each with a private RNG
-// (seeded via shard_fault_seed), judging that shard's sends in shard-local
-// execution order — the same (config, seed, sim.shards) replays
-// bit-identically at any sweep --threads. With every knob at its default
-// the injector reports !enabled() and the Network never consults it: the
-// lossless path is byte-for-byte the pre-injector code (golden-pinned).
+// Determinism: one injector per run, its private RNG seeded with
+// fault.seed, judging sends in event order — the same (config, seed)
+// replays bit-identically at any sweep --threads. With every knob at its
+// default the injector reports !enabled() and the Network never consults
+// it: the lossless path is byte-for-byte the pre-injector code
+// (golden-pinned).
 #pragma once
 
 #include "net/packet.hpp"
@@ -94,18 +94,6 @@ inline bool fault_enabled(const FaultConfig& c) {
          (c.max_jitter > Time::zero()) ||
          (c.straggler_node >= 0 && c.straggler_delay > Time::zero()) ||
          (c.degrade_end > c.degrade_start && c.degrade_factor > 1.0);
-}
-
-/// Seed of shard `rank`'s private injector stream. Sharded runs give each
-/// shard its own FaultInjector judging that shard's sends in shard-local
-/// order (the global send interleaving across shards is timing-dependent,
-/// so one shared stream could not replay): rank 0 keeps the configured
-/// seed so a 1-shard run is bit-identical to the single-injector fabric,
-/// and higher ranks decorrelate by the golden-ratio increment, matching
-/// sim::Engine::shard_seed.
-inline u64 shard_fault_seed(u64 seed, int rank) {
-  constexpr u64 kGoldenGamma = u64{0x9E3779B97F4A7C15};
-  return rank == 0 ? seed : seed ^ (static_cast<u64>(rank) * kGoldenGamma);
 }
 
 struct FaultStats {

@@ -3,16 +3,6 @@
 // sender's uplink, crosses the switch (store-and-forward, fixed forwarding
 // latency), then serializes on the receiver's downlink — which is where the
 // paper's "client NIC bottleneck" forms when many I/O servers reply at once.
-//
-// Sharded operation: each node is homed on one simulation shard — its
-// links, its receiver, and everything it schedules live on that shard's
-// event queue. The switch hop needs no execution site of its own: the
-// uplink-completion event (source shard, time t) forwards the packet as a
-// message effective at t + switch_latency, which starts the destination
-// downlink. When source and destination share a shard that is a plain
-// same-queue schedule (byte-identical to the serial kernel); otherwise it
-// becomes a conservative cross-shard post through the Engine — the switch
-// latency is exactly the lookahead every cross-shard edge must carry.
 #pragma once
 
 #include <memory>
@@ -21,7 +11,7 @@
 #include "net/fault.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulation.hpp"
 #include "trace/tracer.hpp"
 #include "util/small_function.hpp"
 
@@ -34,28 +24,15 @@ class Network {
   /// the call should ever touch the heap.
   using Receiver = SmallFunction<void(Packet)>;
 
-  /// Single-shard fabric: every node homes on `simulation`. This is the
-  /// legacy construction used by direct Network tests and keeps the serial
-  /// kernel's behaviour bit-for-bit.
   explicit Network(sim::Simulation& simulation,
                    Time switch_latency = Time::us(5))
-      : legacy_sim_(&simulation), switch_latency_(switch_latency) {}
-
-  /// Sharded fabric: nodes home on the shard given to add_node; cross-shard
-  /// forwarding goes through `engine.post` under its lookahead contract.
-  explicit Network(sim::Engine& engine, Time switch_latency = Time::us(5))
-      : engine_(&engine), switch_latency_(switch_latency) {}
+      : sim_(simulation), switch_latency_(switch_latency) {}
 
   /// Attach a node; `up`/`down` are the node's NIC rates towards/from the
   /// switch (a bonded 3x1-Gigabit client is modelled as a 3 Gb/s link).
-  /// `shard` picks the node's home shard (engine-backed networks only).
   NodeId add_node(Bandwidth up, Bandwidth down,
-                  Time link_latency = Time::us(2), int shard = 0) {
-    sim::Simulation& home =
-        engine_ != nullptr ? engine_->shard(shard) : *legacy_sim_;
-    const int rank = engine_ != nullptr ? shard : 0;
-    nodes_.push_back(
-        std::make_unique<Node>(home, rank, up, down, link_latency));
+                  Time link_latency = Time::us(2)) {
+    nodes_.push_back(std::make_unique<Node>(sim_, up, down, link_latency));
     return static_cast<NodeId>(nodes_.size() - 1);
   }
 
@@ -65,35 +42,18 @@ class Network {
 
   /// Attach a fault injector that judges every subsequent send. Pass
   /// nullptr (the default state) for the lossless fabric: the send path
-  /// then costs exactly one empty-check over the pre-injector code.
-  void set_fault_injector(FaultInjector* f) {
-    faults_by_shard_.clear();
-    if (f != nullptr) faults_by_shard_.assign(1, f);
-  }
-  /// Sharded operation: one injector per shard, each judging the sends of
-  /// the nodes homed there in shard-local order with its own RNG stream —
-  /// deterministic at a fixed shard count regardless of thread timing.
-  void set_fault_injectors(std::vector<FaultInjector*> per_shard) {
-    faults_by_shard_ = std::move(per_shard);
-  }
-  FaultInjector* fault_injector() const {
-    return faults_by_shard_.empty() ? nullptr : faults_by_shard_[0];
-  }
+  /// then costs exactly one null check over the pre-injector code.
+  void set_fault_injector(FaultInjector* f) { faults_ = f; }
+  FaultInjector* fault_injector() const { return faults_; }
 
   /// Send a packet from `p.src` to `p.dst`. Delivery invokes the
   /// destination's receiver after both serializations and latencies (plus
   /// whatever extra fate the fault injector decides, when one is attached).
-  /// Must be called from the source node's home shard (or outside rounds).
   void send(Packet p) {
     SAISIM_CHECK(p.src >= 0 && p.src < num_nodes());
     SAISIM_CHECK(p.dst >= 0 && p.dst < num_nodes());
-    Node& src = at(p.src);
-    SAISIM_CHECK_MSG(sim::Engine::current_rank() == -1 ||
-                         sim::Engine::current_rank() == src.rank,
-                     "Network::send from a shard that does not own the "
-                     "source node");
-    if (FaultInjector* faults = injector_for(src.rank)) {
-      const Time now = src.sim.now();
+    if (FaultInjector* faults = faults_) {
+      const Time now = sim_.now();
       const Bandwidth down = at(p.dst).downlink.bandwidth();
       const Time ser = down.is_unlimited()
                            ? Time::zero()
@@ -128,10 +88,8 @@ class Network {
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
-  /// Packets launched but not yet delivered. Each node counts launches
-  /// (source shard) and deliveries (destination shard) separately, so the
-  /// difference is only meaningful when the fabric is quiesced — which is
-  /// when callers (tests, end-of-run assertions) read it.
+  /// Packets launched but not yet delivered (tests and end-of-run
+  /// assertions read it once the fabric is quiesced).
   u64 packets_in_flight() const {
     u64 launched = 0;
     u64 delivered = 0;
@@ -142,7 +100,6 @@ class Network {
     return launched - delivered;
   }
 
-  int node_shard(NodeId n) { return at(n).rank; }
   Link& uplink(NodeId n) { return at(n).uplink; }
   Link& downlink(NodeId n) { return at(n).downlink; }
   const Link& downlink(NodeId n) const {
@@ -151,32 +108,18 @@ class Network {
 
  private:
   struct Node {
-    Node(sim::Simulation& s, int shard_rank, Bandwidth up, Bandwidth down,
-         Time latency)
-        : sim(s),
-          rank(shard_rank),
-          uplink(s, up, latency),
-          downlink(s, down, latency) {}
-    sim::Simulation& sim;  // home shard: links + receiver live here
-    int rank;
+    Node(sim::Simulation& s, Bandwidth up, Bandwidth down, Time latency)
+        : uplink(s, up, latency), downlink(s, down, latency) {}
     Link uplink;
     Link downlink;
     Receiver receiver;
-    u64 launched = 0;   // written only by the home (source) shard
-    u64 delivered = 0;  // written only by the home (destination) shard
+    u64 launched = 0;
+    u64 delivered = 0;
   };
 
   Node& at(NodeId n) {
     SAISIM_CHECK(n >= 0 && n < num_nodes());
     return *nodes_[static_cast<u64>(n)];
-  }
-
-  FaultInjector* injector_for(int rank) const {
-    if (faults_by_shard_.empty()) return nullptr;
-    if (static_cast<u64>(rank) >= faults_by_shard_.size()) {
-      return faults_by_shard_[0];
-    }
-    return faults_by_shard_[static_cast<u64>(rank)];
   }
 
   /// Hand the packet to its source uplink — the lossless path, byte-for-byte
@@ -190,15 +133,10 @@ class Network {
     });
   }
 
-  /// Arrived at the switch (an event on the source shard); forward after
-  /// the fabric latency. Same shard: a plain schedule, exactly the serial
-  /// kernel's `after(switch_latency)`. Cross shard: a conservative post —
-  /// effect time now + switch_latency >= now + lookahead by construction.
+  /// Arrived at the switch; forward to the destination downlink after the
+  /// store-and-forward latency.
   void forward_through_switch(Packet p, u64 wire) {
-    Node& src = at(p.src);
-    Node& dst = at(p.dst);
-    const Time when = src.sim.now() + switch_latency_;
-    auto deliver_leg = [this, p = std::move(p), wire]() mutable {
+    sim_.after(switch_latency_, [this, p = std::move(p), wire]() mutable {
       Node& d = at(p.dst);
       d.downlink.send(wire, [this, p = std::move(p)]() mutable {
         Node& dd = at(p.dst);
@@ -207,12 +145,7 @@ class Network {
                          "packet delivered to node with no receiver");
         dd.receiver(std::move(p));
       });
-    };
-    if (&src.sim == &dst.sim) {
-      src.sim.at(when, std::move(deliver_leg));
-    } else {
-      engine_->post(src.rank, dst.rank, when, std::move(deliver_leg));
-    }
+    });
   }
 
   /// Enter the lossless path after an injector-imposed hold-off.
@@ -221,17 +154,15 @@ class Network {
       start_uplink(std::move(p));
       return;
     }
-    Node& src = at(p.src);
-    src.sim.after(extra_delay, [this, p = std::move(p)]() mutable {
+    sim_.after(extra_delay, [this, p = std::move(p)]() mutable {
       start_uplink(std::move(p));
     });
   }
 
-  sim::Engine* engine_ = nullptr;
-  sim::Simulation* legacy_sim_ = nullptr;
+  sim::Simulation& sim_;
   Time switch_latency_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<FaultInjector*> faults_by_shard_;
+  FaultInjector* faults_ = nullptr;
 };
 
 }  // namespace saisim::net

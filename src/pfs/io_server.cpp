@@ -366,7 +366,7 @@ void IoServer::maybe_arm_flush() {
   if (cache_.dirty_blocks() >= threshold && !flush_urgent_) {
     // Dirty high-water mark: burst immediately instead of waiting for the
     // periodic tick. Scheduled (not inline) so the burst is its own event
-    // on this server's shard and never reorders the current one.
+    // and never reorders the current one.
     flush_urgent_ = true;
     sim().after(Time::zero(), [this] {
       flush_urgent_ = false;

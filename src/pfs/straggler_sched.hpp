@@ -99,7 +99,7 @@ struct ClientSchedStats {
 
 /// Per-server responsiveness estimator + dispatch decisions. Owned by one
 /// PfsClient; all methods are O(num_servers) worst case and draw no RNG,
-/// so a straggler_aware run replays bit-identically at any sim.shards and
+/// so a straggler_aware run replays bit-identically on rerun and at any
 /// sweep --threads.
 class StragglerScheduler {
  public:
@@ -203,6 +203,8 @@ class StragglerScheduler {
     u64 slow_dispatches = 0;
   };
 
+  ClientSchedConfig cfg_;
+  std::vector<Est> servers_;
   /// Redirect rotation cursor (choose_target); deterministic, no RNG.
   u64 rr_ = 0;
   /// Peer-server marks for the read currently being dispatched:
@@ -219,8 +221,6 @@ class StragglerScheduler {
     return best < 0.0 ? 0.0 : best;
   }
 
-  ClientSchedConfig cfg_;
-  std::vector<Est> servers_;
   ClientSchedStats stats_;
 };
 

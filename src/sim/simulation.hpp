@@ -83,31 +83,6 @@ class Simulation {
     return true;
   }
 
-  /// Execute every event strictly before `end_exclusive`, stopping early
-  /// (returning false) the moment `keep_going()` turns false. Unlike
-  /// run_until, the clock is left at the last executed event — events at or
-  /// past the bound stay pending and `now()` never jumps ahead of them,
-  /// which is what the sharded engine's conservative rounds require.
-  template <class Pred>
-  bool run_window_while(Time end_exclusive, Pred&& keep_going) {
-    while (!queue_.empty() && queue_.next_time() < end_exclusive) {
-      if (!keep_going()) return false;
-      step();
-    }
-    return true;
-  }
-
-  /// run_window_while with no stop predicate: drain everything < bound.
-  void run_window(Time end_exclusive) {
-    run_window_while(end_exclusive, [] { return true; });
-  }
-
-  /// Timestamp of the earliest pending event, or Time::max() when the
-  /// queue is empty (so a min over shards ignores drained ones).
-  Time next_event_time() {
-    return queue_.empty() ? Time::max() : queue_.next_time();
-  }
-
   u64 events_executed() const { return events_executed_; }
   u64 pending_events() const { return queue_.size(); }
 

@@ -50,8 +50,7 @@ std::string metrics_csv(const std::vector<RunTrace>& runs);
 /// Long-format time-series CSV of every run's timeline:
 /// "run,label,sample,time_us,metric,value", sample-major with metrics in
 /// name order inside each sample — byte-deterministic (integer time
-/// formatting via format_us) and, like the timeline itself, bit-identical
-/// across sim.shards values.
+/// formatting via format_us).
 std::string timeline_csv(const std::vector<RunTrace>& runs);
 
 }  // namespace saisim::trace

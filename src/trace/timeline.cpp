@@ -162,43 +162,28 @@ void TimelineSampler::sample(Time now) {
   }
 }
 
-TimelineSeries merge_timelines(
-    const std::vector<const TimelineSampler*>& by_rank) {
+TimelineSeries TimelineSampler::series() const {
   TimelineSeries out;
-  if (by_rank.empty()) return out;
-  out.period = by_rank[0]->period_;
-  // The control shard (rank 0) stops the run; worker shards may have run
-  // conservatively ahead inside the final lookahead window and sampled
-  // extra ticks. Truncating to rank 0's count makes the merged timeline a
-  // pure function of the model, not of the round schedule.
-  out.ticks = by_rank[0]->ticks_;
+  out.period = period_;
+  out.ticks = ticks_;
 
-  struct Row {
-    const std::string* name;
-    const TimelineSampler::Probe* probe;
-  };
-  std::vector<Row> rows;
-  for (const TimelineSampler* s : by_rank) {
-    SAISIM_CHECK(s->period_ == out.period);
-    SAISIM_CHECK(s->ticks_ >= out.ticks || s == by_rank[0]);
-    for (const auto& p : s->probes_) rows.push_back(Row{&p.name, &p});
-  }
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return *a.name < *b.name;
+  std::vector<const Probe*> rows;
+  rows.reserve(probes_.size());
+  for (const Probe& p : probes_) rows.push_back(&p);
+  std::sort(rows.begin(), rows.end(), [](const Probe* a, const Probe* b) {
+    return a->name < b->name;
   });
   for (u64 i = 1; i < rows.size(); ++i) {
-    SAISIM_CHECK_MSG(*rows[i].name != *rows[i - 1].name,
+    SAISIM_CHECK_MSG(rows[i]->name != rows[i - 1]->name,
                      "duplicate timeline metric name");
   }
 
   out.metrics.reserve(rows.size());
   out.values.reserve(rows.size());
-  for (const Row& r : rows) {
-    out.metrics.push_back(*r.name);
-    std::vector<i64> v(r.probe->series.begin(),
-                       r.probe->series.begin() +
-                           static_cast<std::ptrdiff_t>(out.ticks));
-    if (r.probe->kind == TimelineSampler::Kind::kCounter) {
+  for (const Probe* p : rows) {
+    out.metrics.push_back(p->name);
+    std::vector<i64> v = p->series;
+    if (p->kind == Kind::kCounter) {
       // Cumulative → per-interval delta, newest-last so the subtraction
       // can run in place back-to-front.
       for (u64 k = v.size(); k-- > 1;) v[k] -= v[k - 1];
@@ -206,12 +191,7 @@ TimelineSeries merge_timelines(
     out.values.push_back(std::move(v));
   }
 
-  for (const TimelineSampler* s : by_rank) {
-    for (const SloBreach& b : s->breaches_) {
-      if (b.tick >= out.ticks) continue;  // run-ahead tick, beyond the run
-      out.breaches.push_back(b);
-    }
-  }
+  out.breaches = breaches_;
   std::sort(out.breaches.begin(), out.breaches.end(),
             [](const SloBreach& a, const SloBreach& b) {
               return a.tick != b.tick ? a.tick < b.tick : a.metric < b.metric;

@@ -9,20 +9,13 @@
 // `telemetry.sample_period` (simulated time, never wall clock), producing
 // one value series per metric.
 //
-// Shard safety and determinism. The sharded engine gets one sampler per
-// shard; each sampler's tick is a self-rescheduling event in that shard's
-// own queue, so a probe only ever reads state homed on the shard executing
-// it — no cross-shard loads, nothing for TSan to find. Because the model
-// state at simulated time T is a pure function of config and seed
-// (independent of sim.shards — the golden fingerprints pin that), each
-// per-shard series is shard-count independent too. `merge_timelines` then
-// concatenates the per-shard series, truncates every series to the control
-// shard's tick count (worker shards may conservatively run ahead inside the
-// final lookahead window), and sorts series by metric name (names carry
-// client/server indices, never shard ranks) — so the merged timeline is
-// bit-identical at sim.shards = 1/2/4/16. Sampling only reads state; it
-// draws no RNG and mutates no model object, so enabling it leaves the
-// golden metric fingerprints untouched.
+// Determinism. A run has one sampler, ticked by a self-rescheduling event
+// in the run's own queue. The model state at simulated time T is a pure
+// function of config and seed, so every series is too; `series()` sorts
+// them by metric name (names carry client/server indices), so the timeline
+// is bit-identical across reruns and sweep --threads. Sampling only reads
+// state; it draws no RNG and mutates no model object, so enabling it
+// leaves the golden metric fingerprints untouched.
 //
 // Probe kinds:
 //   * gauge      — instantaneous value (queue depth, dirty blocks,
@@ -38,9 +31,9 @@
 // probe's value is compared against its threshold, and on the rising edge
 // (ok → breached) the sampler records a SloBreach, emits a kSloBreach
 // anomaly trace event, and snapshots the tail of the current thread's
-// Tracer — the flight recorder. `run_experiment` arms small ring-mode
-// tracers per shard when an SLO is configured and no full trace was
-// requested, so the breach dump is populated even in metrics-only runs.
+// Tracer — the flight recorder. `run_experiment` arms a small ring-mode
+// tracer when an SLO is configured and no full trace was requested, so the
+// breach dump is populated even in metrics-only runs.
 #pragma once
 
 #include <functional>
@@ -52,6 +45,11 @@
 #include "util/reflect.hpp"
 
 namespace saisim::trace {
+
+/// Timeline name of the kernel pending-event gauge (telemetry.kernel_gauges).
+/// A run has one event queue; the name still says "shard0" because the
+/// benchmark program (perfbench/) reads the gauge under this name.
+inline constexpr const char* kPendingEventsGauge = "sim.shard0.pending_events";
 
 /// Declarative SLO thresholds, evaluated at every sample tick. A zero
 /// threshold disarms that check; any non-zero threshold requires sampling
@@ -84,13 +82,11 @@ void describe(V& v, TelemetrySloConfig& c) {
 struct TelemetryConfig {
   /// Sampling interval in simulated time; 0 = telemetry off.
   Time sample_period = Time::zero();
-  /// Flight-recorder ring size: the most recent trace events kept per
-  /// shard for the breach dump.
+  /// Flight-recorder ring size: the most recent trace events kept for the
+  /// breach dump.
   u64 flight_recorder_events = 256;
-  /// Also sample per-shard kernel gauges (sim.shard<r>.pending_events).
-  /// Off by default: these series are keyed by shard rank, so unlike every
-  /// model metric they legitimately differ across sim.shards values —
-  /// diagnostics only, never part of the cross-shard-identical CSV.
+  /// Also sample the kernel's pending-event count (kPendingEventsGauge).
+  /// Off by default: a kernel diagnostic, not a model metric.
   bool kernel_gauges = false;
   TelemetrySloConfig slo{};
 };
@@ -122,15 +118,12 @@ struct SloBreach {
   std::string metric;  // name of the probe that tripped
   i64 value = 0;
   i64 threshold = 0;
-  /// Most recent trace events on the breaching shard, oldest first.
-  /// Per-shard views: contents depend on which shard hosts the probe, so
-  /// they are diagnostics, not part of the cross-shard-identical surface.
+  /// Most recent trace events before the breach, oldest first.
   std::vector<Event> flight;
 };
 
-/// The merged, export-ready timeline: one value row per metric, truncated
-/// to the control shard's tick count and name-sorted (shard-partition
-/// independent — see merge_timelines).
+/// The export-ready timeline: one value row per metric, name-sorted (see
+/// TimelineSampler::series).
 struct TimelineSeries {
   Time period = Time::zero();
   u64 ticks = 0;
@@ -147,15 +140,15 @@ struct TimelineSeries {
 
 class TimelineSampler {
  public:
-  /// Reads one probe's current value; must only touch state homed on the
-  /// sampler's shard and must not mutate the model or draw RNG.
+  /// Reads one probe's current value; must not mutate the model or draw
+  /// RNG.
   using Reader = std::function<i64()>;
 
   TimelineSampler(Time period, int slo_window, u64 flight_capacity);
 
   /// Probe registration (before the run starts). Returns the probe index
-  /// for watch(). Names must be unique within the whole run (they carry
-  /// client/server indices) — the merge asserts that.
+  /// for watch(). Names must be unique within the run (they carry
+  /// client/server indices) — series() asserts that.
   u64 add_gauge(std::string name, Reader read);
   u64 add_counter(std::string name, Reader read);
   u64 add_window_p99(std::string name, const stats::Log2Histogram* hist);
@@ -170,14 +163,15 @@ class TimelineSampler {
   u64 ticks() const { return ticks_; }
   const std::vector<SloBreach>& breaches() const { return breaches_; }
 
-  /// Record one sample at simulated time `now` (called by the per-shard
-  /// tick event) and evaluate the watchdog rules.
+  /// Record one sample at simulated time `now` (called by the tick event)
+  /// and evaluate the watchdog rules.
   void sample(Time now);
 
- private:
-  friend TimelineSeries merge_timelines(
-      const std::vector<const TimelineSampler*>& by_rank);
+  /// The export-ready timeline: counters become per-interval deltas,
+  /// series sort by metric name and breaches by (tick, metric).
+  TimelineSeries series() const;
 
+ private:
   enum class Kind { kGauge, kCounter, kWindowP99, kWindowRatePpm };
 
   struct Probe {
@@ -206,14 +200,5 @@ class TimelineSampler {
   std::vector<Probe> probes_;
   std::vector<SloBreach> breaches_;
 };
-
-/// Merge per-shard samplers (index = shard rank; rank 0 = the control
-/// shard) into one TimelineSeries: every series is truncated to rank 0's
-/// tick count, counters become per-interval deltas, series sort by metric
-/// name and breaches by (tick, metric). Deterministic for a fixed config
-/// and — because probe values are shard-count independent — bit-identical
-/// across sim.shards values.
-TimelineSeries merge_timelines(
-    const std::vector<const TimelineSampler*>& by_rank);
 
 }  // namespace saisim::trace

@@ -129,24 +129,13 @@ class Tracer {
   std::vector<std::unique_ptr<Event[]>> chunks_;
 };
 
-/// Merge per-shard event streams into one timestamp-ordered stream.
-/// Streams are concatenated in the given (shard-rank) order and stably
-/// sorted by timestamp: simultaneous events order by shard rank, then by
-/// within-shard recording order — a deterministic total order independent
-/// of worker-thread timing. A single stream passes through untouched
-/// (stable sort of an already time-ordered stream), so the 1-shard path is
-/// byte-identical to the pre-shard tracer output.
-inline std::vector<Event> merge_event_streams(
-    std::vector<std::vector<Event>> streams) {
-  if (streams.empty()) return {};
-  std::vector<Event> merged = std::move(streams[0]);
-  for (u64 s = 1; s < streams.size(); ++s) {
-    merged.insert(merged.end(), streams[s].begin(), streams[s].end());
-  }
+/// Stably sort a recorded stream by timestamp. Sites may record an event
+/// at a time other than the current clock, so recording order is not
+/// always time order; simultaneous events keep their recording order.
+inline void sort_by_time(std::vector<Event>& events) {
   std::stable_sort(
-      merged.begin(), merged.end(),
+      events.begin(), events.end(),
       [](const Event& a, const Event& b) { return a.when < b.when; });
-  return merged;
 }
 
 /// RAII installation of a tracer as the current thread's sink.

@@ -35,10 +35,9 @@ TEST(ConfigDrift, DescribedLeafCounts) {
   EXPECT_EQ(count_fields<workload::BackgroundConfig>(), 3u);
   EXPECT_EQ(count_fields<ClientMachineConfig>(), 30u);
   EXPECT_EQ(count_fields<ServerMachineConfig>(), 19u);
-  EXPECT_EQ(count_fields<SimKernelConfig>(), 2u);
   EXPECT_EQ(count_fields<trace::TelemetrySloConfig>(), 4u);
   EXPECT_EQ(count_fields<trace::TelemetryConfig>(), 7u);
-  EXPECT_EQ(count_fields<ExperimentConfig>(), 96u);
+  EXPECT_EQ(count_fields<ExperimentConfig>(), 94u);
   EXPECT_EQ(count_fields<memsim::MemsimConfig>(), 23u);
   EXPECT_EQ(count_fields<realmem::RealMemConfig>(), 8u);
 }
@@ -69,7 +68,6 @@ TEST(ConfigDrift, CompositeCountsAreSumsOfParts) {
                 count_fields<pfs::MetaServerConfig>() +
                 2u /* seed, max_sim_time */ +
                 count_fields<net::FaultConfig>() +
-                count_fields<SimKernelConfig>() +
                 count_fields<trace::TelemetryConfig>());
   EXPECT_EQ(count_fields<trace::TelemetryConfig>(),
             3u /* sample_period, flight_recorder_events, kernel_gauges */ +
@@ -94,10 +92,9 @@ TEST(ConfigDrift, StructSizesMatchDescribedLayout) {
   EXPECT_EQ(sizeof(workload::BackgroundConfig), 24u);
   EXPECT_EQ(sizeof(ClientMachineConfig), 224u);
   EXPECT_EQ(sizeof(ServerMachineConfig), 128u);
-  EXPECT_EQ(sizeof(SimKernelConfig), 16u);
   EXPECT_EQ(sizeof(trace::TelemetrySloConfig), 32u);
   EXPECT_EQ(sizeof(trace::TelemetryConfig), 56u);
-  EXPECT_EQ(sizeof(ExperimentConfig), 704u);
+  EXPECT_EQ(sizeof(ExperimentConfig), 688u);
   EXPECT_EQ(sizeof(memsim::MemsimConfig), 168u);
   EXPECT_EQ(sizeof(realmem::RealMemConfig), 48u);
 }

@@ -83,44 +83,6 @@ TEST(FaultDeterminism, FaultySweepBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Sharded kernel + armed injector: a faulty run at sim.shards=4 replays
-// bit-identically run-to-run (per-shard injector streams are judged in
-// shard-local order, so worker timing cannot leak in). Note the sharded
-// faulty run is *not* expected to match the 1-shard one: the injector
-// stream partition is keyed by shard rank, so a different shard count is a
-// different (documented) random universe — determinism, not shard-count
-// equality, is the contract under faults.
-TEST(FaultDeterminism, ShardedFaultyRunReplaysBitIdentically) {
-  ExperimentConfig cfg = faulty_config();
-  cfg.sim.shards = 4;
-  const RunMetrics a = run_experiment(cfg);
-  const RunMetrics b = run_experiment(cfg);
-  expect_bit_identical(a, b);
-  EXPECT_GT(a.retransmits, 0u);
-}
-
-// And the sweep-level bar at sim.shards=4: parallel sweep workers each
-// driving a 4-shard engine still match the serial sweep bit-for-bit.
-TEST(FaultDeterminism, ShardedFaultySweepBitIdenticalAcrossThreadCounts) {
-  ExperimentConfig base = faulty_config();
-  base.sim.shards = 4;
-  SweepSpec spec("faulty-sharded", base);
-  spec.axis("loss", std::vector<double>{0.0, 0.02},
-            [](double l) { return std::to_string(l); },
-            [](ExperimentConfig& c, double l) { c.fault.loss_rate = l; })
-      .policies({PolicyKind::kIrqbalance, PolicyKind::kSourceAware});
-  SweepRunner serial(RunnerOptions{.threads = 1, .progress = false});
-  SweepRunner parallel(RunnerOptions{.threads = 4, .progress = false});
-  const SweepResult a = serial.run(spec);
-  const SweepResult b = parallel.run(spec);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.size(), 4u);
-  for (u64 i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.points[i].labels, b.points[i].labels);
-    expect_bit_identical(a.metrics[i], b.metrics[i]);
-  }
-}
-
 // All fault knobs at zero: the injector-aware build produces metrics
 // byte-identical to the plain config (the injector is never constructed,
 // so the straggler knobs left armed-but-zero must not even perturb RNG

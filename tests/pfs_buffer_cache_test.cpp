@@ -1,8 +1,8 @@
 // Buffer-cache tests: LRU/eviction mechanics of the set-associative cache,
 // the write-back flush-daemon timeline, stride-aware read-ahead usefulness,
-// and shard-count bit-identity of the deep server model (the sharded DES
-// contract must hold with the cache and scheduler enabled, not just in the
-// legacy default).
+// and run-to-run and sweep --threads bit-identity of the deep server model
+// (the determinism contract must hold with the cache and scheduler
+// enabled, not just in the legacy default).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -13,6 +13,7 @@
 #include "core/experiment.hpp"
 #include "pfs/buffer_cache.hpp"
 #include "pfs/io_server.hpp"
+#include "sweep/runner.hpp"
 
 namespace saisim::pfs {
 namespace {
@@ -230,8 +231,8 @@ TEST(BufferCacheTimeline, StridedStreamIsDetectedAcrossStripeGaps) {
   Harness h(cfg);
   const u64 stride_bytes = 8 * kStrip;  // 8-server striping
   for (int i = 0; i < 4; ++i) {
-    h.send(net::PacketKind::kPfsRequest, i, stride_bytes * i, kStrip,
-           Time::ms(10 * i));
+    h.send(net::PacketKind::kPfsRequest, i,
+           stride_bytes * static_cast<u64>(i), kStrip, Time::ms(10 * i));
   }
   h.s.run();
   ASSERT_EQ(h.arrivals.size(), 4u);
@@ -240,7 +241,7 @@ TEST(BufferCacheTimeline, StridedStreamIsDetectedAcrossStripeGaps) {
   EXPECT_GE(h.server.cache().stats().readahead_useful, 2 * kStrip / kBlock);
 }
 
-// ---- Shard-count bit-identity with the deep model enabled ----------------
+// ---- Bit-identity with the deep model enabled ----------------------------
 
 void hex_u64(std::string& out, u64 v) {
   char buf[17];
@@ -265,7 +266,7 @@ std::string metrics_fingerprint(const RunMetrics& m) {
   return fp;
 }
 
-ExperimentConfig deep_experiment(int shards) {
+ExperimentConfig deep_experiment() {
   ExperimentConfig cfg;
   cfg.num_servers = 8;
   cfg.client.nic_bandwidth = Bandwidth::gbit(3.0);
@@ -276,26 +277,42 @@ ExperimentConfig deep_experiment(int shards) {
   cfg.server.cache.capacity_bytes = 1ull << 20;
   cfg.server.cache.readahead_blocks = 16;
   cfg.server.sched.enabled = true;
-  cfg.sim.shards = shards;
   return cfg;
 }
 
-TEST(DeepServerSharding, ReadRunBitIdenticalAcrossShardCounts) {
-  const std::string one =
-      metrics_fingerprint(run_experiment(deep_experiment(1)));
-  const std::string four =
-      metrics_fingerprint(run_experiment(deep_experiment(4)));
-  EXPECT_EQ(one, four);
+TEST(DeepServerDeterminism, RerunBitIdentical) {
+  for (const workload::IorMode mode :
+       {workload::IorMode::kRead, workload::IorMode::kWrite}) {
+    ExperimentConfig cfg = deep_experiment();
+    cfg.ior.mode = mode;
+    EXPECT_EQ(metrics_fingerprint(run_experiment(cfg)),
+              metrics_fingerprint(run_experiment(cfg)));
+  }
 }
 
-TEST(DeepServerSharding, WriteBackRunBitIdenticalAcrossShardCounts) {
-  ExperimentConfig one_cfg = deep_experiment(1);
-  one_cfg.ior.mode = workload::IorMode::kWrite;
-  ExperimentConfig four_cfg = deep_experiment(4);
-  four_cfg.ior.mode = workload::IorMode::kWrite;
-  const std::string one = metrics_fingerprint(run_experiment(one_cfg));
-  const std::string four = metrics_fingerprint(run_experiment(four_cfg));
-  EXPECT_EQ(one, four);
+TEST(DeepServerDeterminism, SweepThreads1v4BitIdentical) {
+  sweep::SweepSpec spec("deep", deep_experiment());
+  spec.axis("mode",
+            std::vector<workload::IorMode>{workload::IorMode::kRead,
+                                           workload::IorMode::kWrite},
+            [](workload::IorMode m) {
+              return std::string(workload::kIorModeNames[static_cast<int>(m)]);
+            },
+            [](ExperimentConfig& c, workload::IorMode m) { c.ior.mode = m; })
+      .policies({PolicyKind::kIrqbalance, PolicyKind::kSourceAware});
+  sweep::SweepRunner serial(sweep::RunnerOptions{.threads = 1,
+                                                 .progress = false});
+  sweep::SweepRunner parallel(sweep::RunnerOptions{.threads = 4,
+                                                   .progress = false});
+  const sweep::SweepResult a = serial.run(spec);
+  const sweep::SweepResult b = parallel.run(spec);
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.size(), 4u);
+  for (u64 i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.points[i].labels, b.points[i].labels);
+    EXPECT_EQ(metrics_fingerprint(a.metrics[i]),
+              metrics_fingerprint(b.metrics[i]));
+  }
 }
 
 }  // namespace

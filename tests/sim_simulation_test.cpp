@@ -86,53 +86,6 @@ TEST(Simulation, RunWhileAcceptsMoveOnlyPredicateState) {
   EXPECT_EQ(s.events_executed(), 3u);
 }
 
-TEST(Simulation, RunWindowExecutesStrictlyBeforeBound) {
-  Simulation s;
-  int fired = 0;
-  s.after(Time::us(1), [&] { ++fired; });
-  s.after(Time::us(5), [&] { ++fired; });  // exactly at the bound: excluded
-  s.after(Time::us(9), [&] { ++fired; });
-  s.run_window(Time::us(5));
-  EXPECT_EQ(fired, 1);
-  // Unlike run_until, the clock stays at the last executed event — the
-  // sharded engine's rounds must never advance a clock past pending work.
-  EXPECT_EQ(s.now(), Time::us(1));
-  EXPECT_EQ(s.pending_events(), 2u);
-  s.run();
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(Simulation, RunWindowExecutesEventsScheduledInsideTheWindow) {
-  Simulation s;
-  std::vector<Time> fire_times;
-  s.after(Time::us(1), [&] {
-    fire_times.push_back(s.now());
-    s.after(Time::us(2), [&] { fire_times.push_back(s.now()); });  // t=3
-  });
-  s.run_window(Time::us(5));
-  ASSERT_EQ(fire_times.size(), 2u);
-  EXPECT_EQ(fire_times[1], Time::us(3));
-}
-
-TEST(Simulation, RunWindowWhileStopsOnPredicate) {
-  Simulation s;
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) s.after(Time::us(i + 1), [&] { ++fired; });
-  const bool exhausted =
-      s.run_window_while(Time::us(100), [&] { return fired < 4; });
-  EXPECT_FALSE(exhausted);
-  EXPECT_EQ(fired, 4);
-}
-
-TEST(Simulation, NextEventTimeReportsHeadOrMax) {
-  Simulation s;
-  EXPECT_EQ(s.next_event_time(), Time::max());
-  s.after(Time::us(7), [] {});
-  EXPECT_EQ(s.next_event_time(), Time::us(7));
-  s.run();
-  EXPECT_EQ(s.next_event_time(), Time::max());
-}
-
 TEST(Simulation, EventCountIsTracked) {
   Simulation s;
   for (int i = 0; i < 7; ++i) s.after(Time::us(i + 1), [] {});

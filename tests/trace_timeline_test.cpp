@@ -1,9 +1,9 @@
 // Tests for the time-resolved telemetry subsystem: the TimelineSampler
-// unit behaviour (probe kinds, windowing, the edge-triggered watchdog, the
-// shard merge), the ring-mode flight recorder, and the full-stack
-// determinism contract — the timeline CSV of a fixed config is pinned by
-// FNV-1a hash, bit-identical across sim.shards values and across reruns,
-// and enabling telemetry leaves the golden metric fingerprint untouched.
+// unit behaviour (probe kinds, windowing, the edge-triggered watchdog), the
+// ring-mode flight recorder, and the full-stack determinism contract — the
+// timeline CSV of a fixed config is pinned by FNV-1a hash, bit-identical
+// across reruns and across concurrent runs on separate threads, and
+// enabling telemetry leaves the golden metric fingerprint untouched.
 // If a model change intentionally shifts the timeline, re-pin from the
 // failure output's "actual" value.
 #include "trace/timeline.hpp"
@@ -17,6 +17,7 @@
 
 #include "core/experiment.hpp"
 #include "stats/histogram.hpp"
+#include "sweep/parallel.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
 
@@ -37,7 +38,7 @@ TEST(TimelineSampler, GaugeAndCounterSeries) {
   gauge = 7, cum = 25;
   ts.sample(Time::us(30));
 
-  const TimelineSeries s = merge_timelines({&ts});
+  const TimelineSeries s = ts.series();
   ASSERT_EQ(s.ticks, 3u);
   ASSERT_EQ(s.metrics.size(), 2u);
   // Name-sorted, regardless of registration order.
@@ -63,7 +64,7 @@ TEST(TimelineSampler, WindowedP99TracksRecentSamplesOnly) {
   ts.sample(Time::us(30));
   ts.sample(Time::us(40));
 
-  const TimelineSeries s = merge_timelines({&ts});
+  const TimelineSeries s = ts.series();
   ASSERT_EQ(s.values.size(), 1u);
   // Until the window fills, the p99 covers everything since the start; a
   // single populated bucket reports its midpoint.
@@ -87,7 +88,7 @@ TEST(TimelineSampler, WindowedRatePpm) {
   num = 11, den = 200;
   ts.sample(Time::us(30));
 
-  const TimelineSeries s = merge_timelines({&ts});
+  const TimelineSeries s = ts.series();
   EXPECT_EQ(s.values[0][0], 10'000);  // 1 / 100
   EXPECT_EQ(s.values[0][1], 10'000);
   EXPECT_EQ(s.values[0][2], 55'000);  // 11 / 200
@@ -112,32 +113,6 @@ TEST(TimelineSampler, WatchdogIsEdgeTriggered) {
   EXPECT_EQ(ts.breaches()[0].metric, "depth");
   EXPECT_EQ(ts.breaches()[0].when, Time::us(20));
   EXPECT_EQ(ts.breaches()[1].tick, 4u);
-}
-
-TEST(TimelineMerge, TruncatesRunAheadAndInterleavesByName) {
-  // Rank 1 (a worker shard) sampled one extra tick inside the final
-  // lookahead window; the merge truncates to rank 0's count.
-  TimelineSampler rank0(Time::us(10), 4, 8);
-  TimelineSampler rank1(Time::us(10), 4, 8);
-  i64 a = 0, b = 100;
-  rank0.add_gauge("client0.q", [&a] { return a; });
-  rank1.add_gauge("server0.q", [&b] { return b; });
-  a = 1, b = 101;
-  rank0.sample(Time::us(10));
-  rank1.sample(Time::us(10));
-  a = 2, b = 102;
-  rank0.sample(Time::us(20));
-  rank1.sample(Time::us(20));
-  b = 103;
-  rank1.sample(Time::us(30));  // run-ahead tick
-
-  const TimelineSeries s = merge_timelines({&rank0, &rank1});
-  ASSERT_EQ(s.ticks, 2u);
-  ASSERT_EQ(s.metrics.size(), 2u);
-  EXPECT_EQ(s.metrics[0], "client0.q");
-  EXPECT_EQ(s.metrics[1], "server0.q");
-  EXPECT_EQ(s.values[0], (std::vector<i64>{1, 2}));
-  EXPECT_EQ(s.values[1], (std::vector<i64>{101, 102}));
 }
 
 TEST(Tracer, RingModeKeepsTheMostRecentEvents) {
@@ -192,24 +167,25 @@ std::string timeline_csv_of(ExperimentConfig cfg) {
   return timeline_csv({capture});
 }
 
-TEST(TimelineDeterminism, CsvGoldenAndShardIdentity) {
-  ExperimentConfig cfg = telemetry_experiment();
+TEST(TimelineDeterminism, CsvGoldenAndRerunIdentity) {
+  const ExperimentConfig cfg = telemetry_experiment();
   const std::string serial = timeline_csv_of(cfg);
   EXPECT_FALSE(serial.empty());
   // ~78.58 ms of simulated time at a 1 ms period → 78 samples; the pinned
   // hash also locks names, ordering, and every sampled value.
   EXPECT_EQ(fnv1a_hex(serial), "ddcbce5909401a98");
 
-  // Bit-identical across shard counts: names carry client/server indices,
-  // never shard ranks, and probe values are functions of (config, seed).
-  cfg.sim.shards = 4;
-  EXPECT_EQ(timeline_csv_of(cfg), serial);
-  cfg.sim.shards = 2;
+  // Across reruns of the identical config.
   EXPECT_EQ(timeline_csv_of(cfg), serial);
 
-  // And across reruns of the identical config.
-  cfg.sim.shards = 1;
-  EXPECT_EQ(timeline_csv_of(cfg), serial);
+  // And across concurrent runs on the sweep's worker pool at 4 threads:
+  // the sampler and its tracer are per run, never shared.
+  sweep::ParallelOptions pool;
+  pool.threads = 4;
+  pool.progress = false;
+  const std::vector<std::string> csvs = sweep::parallel_map(
+      4, pool, [&cfg](u64) { return timeline_csv_of(cfg); });
+  for (const std::string& csv : csvs) EXPECT_EQ(csv, serial);
 }
 
 TEST(TimelineDeterminism, SamplingIsMetricsInert) {
