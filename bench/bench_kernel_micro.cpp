@@ -1,16 +1,18 @@
-// Microbenchmarks for the DES kernel hot paths: the per-64B-line memory
-// walk, owner-directory churn, the event queue, and one small end-to-end
-// experiment. These are the structures the figure sweeps spend their time
-// in, so `tools/perf_baseline.py` runs this binary (plus a timed figure
-// bench) and records the results in BENCH_kernel.json — the repo's perf
-// trajectory. CI runs it with --benchmark_min_time=1x as a smoke test.
+// Microbenchmarks for the DES kernel hot paths: the memory walk, owner-
+// directory churn, a strip's DMA/touch/consume lifecycle, the event queue,
+// and one small end-to-end experiment. These are the structures the figure
+// sweeps spend their time in, so `tools/perf_baseline.py` runs this binary
+// (plus a timed figure bench) and records the results in BENCH_kernel.json
+// — the repo's perf trajectory. CI runs it with --benchmark_min_time=1x as
+// a smoke test.
 //
 // All benchmarks are deterministic (fixed seeds, fixed walk orders); they
 // measure the kernel's data structures, not the model, so DRAM bandwidth is
-// left unlimited except in the end-to-end case.
+// left unlimited except in the strip lifecycle and end-to-end cases.
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.hpp"
+#include "mem/address_space.hpp"
 #include "mem/memory_system.hpp"
 #include "sim/event_queue.hpp"
 #include "sweep/cli.hpp"
@@ -123,6 +125,45 @@ void BM_OwnerDirectoryChurn(benchmark::State& state) {
                           static_cast<i64>(kStrip));
 }
 BENCHMARK(BM_OwnerDirectoryChurn);
+
+/// One PFS strip's life on the client, as the paper's pipeline runs it and
+/// perfbench's mem probe measures it: the NIC DMAs the strip into a fresh
+/// buffer, the softirq core touches it (write, nic.touch_reuse), and the
+/// reader consumes it (read, ior.compute_reuse_per_line) on the same core
+/// (arg 0, local) or the next one (arg 1, migrated: every line is a
+/// cache-to-cache transfer). Default client: 8 cores, 512 KiB 16-way L2s,
+/// bandwidth-limited DRAM, strips arriving at the NIC's line rate.
+void BM_MemStripLifecycle(benchmark::State& state) {
+  const ExperimentConfig cfg;
+  mem::MemorySystem ms(cfg.client.cores, cfg.client.cache,
+                       cfg.client.timings, cfg.client.core_freq,
+                       cfg.client.dram_bandwidth);
+  mem::AddressSpace space(cfg.client.cache.line_bytes);
+  const bool migrated = state.range(0) != 0;
+  const u64 strip = cfg.strip_size;
+  const Time gap = cfg.client.nic_bandwidth.transfer_time(strip);
+  const int cores = cfg.client.cores;
+  Time now = Time::zero();
+  u64 i = 0;
+  for (auto _ : state) {
+    const mem::AddressRange r = space.allocate(strip);
+    const CoreId handler = static_cast<CoreId>(i++ % static_cast<u64>(cores));
+    const CoreId consumer = migrated ? (handler + 1) % cores : handler;
+    const Time landed = now + ms.dma_write(r.base, strip, now);
+    const Time copied =
+        landed + ms.access(handler, r.base, strip,
+                           mem::MemorySystem::AccessType::kWrite, landed,
+                           cfg.client.nic.touch_reuse);
+    benchmark::DoNotOptimize(
+        ms.access(consumer, r.base, strip,
+                  mem::MemorySystem::AccessType::kRead, copied,
+                  cfg.ior.compute_reuse_per_line));
+    now += gap;
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(strip));
+}
+BENCHMARK(BM_MemStripLifecycle)->Arg(0)->Arg(1);
 
 /// Schedule a burst of events with a deliberately chunky capture (larger
 /// than std::function's inline buffer), then pop them all.

@@ -4,17 +4,22 @@
 // (512 KiB, 64 B lines). Only tags and LRU state are kept — the simulator
 // never stores payload bytes, it tracks *where* each line currently lives.
 //
-// Hot-path notes: entries are packed to 16 bytes (line/valid/dirty fused
-// into one tag word) so a 16-way set spans 4 cache lines; every set keeps
-// an MRU way hint, so streaming workloads (the dominant access pattern —
-// NIC payload walks, strip combines) hit one entry instead of scanning all
-// 16 ways; and probe_run() walks a contiguous line range with the set
-// cursor carried between lines, which is what MemorySystem::access batches
-// its per-64B-line loop on.
+// Hot-path notes: a tag entry is one 64-bit word (line/valid/dirty fused),
+// and LRU state is an exact per-set recency order rather than per-entry
+// clocks: for up to 16 ways, 16 four-bit way indices packed in one u64
+// (position 0 = MRU, position ways-1 = LRU); wider sets keep one byte per
+// position. Invalidated ways move to the LRU end, so the invalid ways
+// always form the LRU-end suffix and the victim of an insert is the way in
+// the LRU position — O(1), no set scan. MemorySystem's owner directory
+// records the way each resident line occupies, so its hot path drives the
+// way-indexed operations (touch/fill/invalidate_way) and never scans a
+// set; the line-addressed operations below (probe/insert/invalidate) scan
+// and are for standalone use.
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -56,117 +61,136 @@ class Cache {
  public:
   explicit Cache(const CacheConfig& cfg) : cfg_(cfg) {
     SAISIM_CHECK(cfg.line_bytes > 0 && std::has_single_bit(cfg.line_bytes));
-    SAISIM_CHECK(cfg.ways > 0);
+    SAISIM_CHECK(cfg.ways > 0 && cfg.ways <= 256);
     SAISIM_CHECK(cfg.capacity_bytes % (cfg.line_bytes * cfg.ways) == 0);
     const u64 sets = cfg.num_sets();
     SAISIM_CHECK(std::has_single_bit(sets));
     set_mask_ = sets - 1;
-    lines_.resize(sets * cfg.ways);
-    mru_way_.assign(sets, 0);
+    tags_.resize(sets * cfg.ways);
+    if (packed()) {
+      lru_shift_ = 4 * (cfg.ways - 1);
+      lru_mask_ = cfg.ways == 16 ? ~u64{0} : (u64{1} << (4 * cfg.ways)) - 1;
+      // Position k holds way k.
+      u64 identity = 0;
+      for (u32 w = 0; w < cfg.ways; ++w) identity |= u64{w} << (4 * w);
+      order_.assign(sets, identity);
+    } else {
+      wide_order_.resize(sets * cfg.ways);
+      for (u64 s = 0; s < sets; ++s) {
+        for (u32 w = 0; w < cfg.ways; ++w) {
+          wide_order_[s * cfg.ways + w] = static_cast<u8>(w);
+        }
+      }
+    }
   }
 
   const CacheConfig& config() const { return cfg_; }
 
   LineAddr line_of(Address addr) const { return addr / cfg_.line_bytes; }
-
-  /// True if the line is present; refreshes LRU on hit and, for a store,
-  /// marks the line dirty in the same scan.
-  bool probe(LineAddr line, bool mark_dirty_on_hit = false) {
-    return probe_run(line, 1, mark_dirty_on_hit) == 1;
-  }
+  u64 set_of(LineAddr line) const { return line & set_mask_; }
 
   struct Eviction {
     LineAddr line;
     bool dirty;
   };
 
-  /// Result of a victim lookup: where the next insert of that line will
-  /// land, and what it displaces. See find_victim/commit_insert.
-  struct PendingInsert {
-    std::optional<Eviction> evicted;
-    u64 set = 0;
-    u32 way = 0;
-  };
+  // --- Way-indexed operations (the caller knows where the line lives) ---
 
-  /// Probe the contiguous lines [first, first + count) in ascending order,
-  /// refreshing LRU (and marking dirty if `dirty`) on each hit; stops at
-  /// the first absent line. Returns the number of leading hits consumed.
-  /// Equivalent to `count` probe() calls, but the set cursor, way hints and
-  /// LRU clock stay in registers across the whole run.
-  ///
-  /// If `miss_victim` is non-null and the run stops short, it receives the
-  /// victim slot for the missing line — the same scan that proves the line
-  /// absent selects where its insert will land, so the miss path pays one
-  /// set walk, not two. Pass it to commit_insert with no intervening
-  /// operations on this cache.
-  u64 probe_run(LineAddr first, u64 count, bool dirty,
-                PendingInsert* miss_victim = nullptr) {
-    return dirty ? probe_run_impl<true>(first, count, miss_victim)
-                 : probe_run_impl<false>(first, count, miss_victim);
+  /// Hit on `way`: move it to the MRU position; a store also marks it dirty.
+  void touch(u64 set, u32 way, bool dirty) {
+    if (dirty) tags_[set * cfg_.ways + way] |= kDirty;
+    to_mru(set, way);
+  }
+
+  /// The way the next insert into `set` takes: the LRU position, which is
+  /// an invalid way whenever the set has one.
+  u32 victim_way(u64 set) const {
+    return packed() ? static_cast<u32>(order_[set] >> lru_shift_) & 0xF
+                    : wide_order_[set * cfg_.ways + cfg_.ways - 1];
+  }
+
+  /// State of one way: valid, the line it holds, dirty.
+  bool valid(u64 set, u32 way) const {
+    return (tags_[set * cfg_.ways + way] & kValid) != 0;
+  }
+  LineAddr line_at(u64 set, u32 way) const {
+    return tags_[set * cfg_.ways + way] >> 2;
+  }
+  bool dirty_at(u64 set, u32 way) const {
+    return (tags_[set * cfg_.ways + way] & kDirty) != 0;
+  }
+
+  /// Install `line` (which must be absent) in the victim way of its set and
+  /// make it MRU. Returns the way taken and the line it displaced, if any.
+  struct Fill {
+    u32 way;
+    std::optional<Eviction> evicted;
+  };
+  Fill fill(LineAddr line, bool dirty) {
+    const u64 set = set_of(line);
+    const u32 way = victim_way(set);
+    u64& tag = tags_[set * cfg_.ways + way];
+    Fill f{way, std::nullopt};
+    if ((tag & kValid) != 0) {
+      f.evicted = Eviction{tag >> 2, (tag & kDirty) != 0};
+    } else {
+      ++resident_;
+    }
+    tag = (line << 2) | kValid | (dirty ? kDirty : 0);
+    lru_to_mru(set);
+    return f;
+  }
+
+  /// Drop the valid line in `way` and move the way to the LRU end.
+  /// Returns whether it was dirty.
+  bool invalidate_way(u64 set, u32 way) {
+    u64& tag = tags_[set * cfg_.ways + way];
+    SAISIM_CHECK(tag & kValid);
+    const bool dirty = (tag & kDirty) != 0;
+    tag = 0;
+    --resident_;
+    to_lru(set, way);
+    return dirty;
+  }
+
+  // --- Line-addressed operations (scan the set) ---
+
+  /// True if the line is present; refreshes LRU on hit and, for a store,
+  /// marks the line dirty.
+  bool probe(LineAddr line, bool mark_dirty_on_hit = false) {
+    const int way = find_way(line);
+    if (way < 0) return false;
+    touch(set_of(line), static_cast<u32>(way), mark_dirty_on_hit);
+    return true;
+  }
+
+  /// Probe the contiguous lines [first, first + count) in ascending order;
+  /// stops at the first absent line. Returns the number of leading hits.
+  u64 probe_run(LineAddr first, u64 count, bool dirty) {
+    u64 done = 0;
+    while (done < count && probe(first + done, dirty)) ++done;
+    return done;
   }
 
   /// Presence check without touching LRU state.
-  bool contains(LineAddr line) const { return find(line) != nullptr; }
+  bool contains(LineAddr line) const { return find_way(line) >= 0; }
 
   bool is_dirty(LineAddr line) const {
-    const Entry* e = find(line);
-    return e != nullptr && (e->tag & kDirty) != 0;
-  }
-
-  /// Two-phase insert. find_victim locates the way the new line will land
-  /// in (checking the must-not-be-present invariant in the same scan) and
-  /// reports the eviction early, so the caller can overlap the victim's
-  /// directory bookkeeping with other miss work; commit_insert then writes
-  /// the new line into that slot. No other operation on this cache may
-  /// intervene between the two calls.
-  PendingInsert find_victim(LineAddr line) const {
-    const u64 set = set_index(line);
-    const Entry* const base = lines_.data() + set * cfg_.ways;
-    const Entry* victim = nullptr;
-    bool victim_invalid = false;
-    for (u32 w = 0; w < cfg_.ways; ++w) {
-      const Entry& e = base[w];
-      if ((e.tag & kValid) == 0) {
-        if (!victim_invalid) {  // first invalid way wins, as before
-          victim = &e;
-          victim_invalid = true;
-        }
-        continue;
-      }
-      SAISIM_CHECK_MSG(e.tag >> 2 != line, "double insert of cache line");
-      if (!victim_invalid && (victim == nullptr || e.lru < victim->lru)) {
-        victim = &e;
-      }
-    }
-    PendingInsert p;
-    p.set = set;
-    p.way = static_cast<u32>(victim - base);
-    if ((victim->tag & kValid) != 0) {
-      p.evicted = Eviction{victim->tag >> 2, (victim->tag & kDirty) != 0};
-    }
-    return p;
-  }
-
-  void commit_insert(const PendingInsert& p, LineAddr line, bool dirty) {
-    Entry* const e = lines_.data() + p.set * cfg_.ways + p.way;
-    if (!p.evicted) ++resident_;
-    e->tag = (line << 2) | kValid | (dirty ? kDirty : 0);
-    e->lru = ++lru_clock_;
-    mru_way_[p.set] = p.way;
+    const int way = find_way(line);
+    return way >= 0 && dirty_at(set_of(line), static_cast<u32>(way));
   }
 
   /// Insert a line (must not be present). Returns the victim, if any.
   std::optional<Eviction> insert(LineAddr line, bool dirty) {
-    const PendingInsert p = find_victim(line);
-    commit_insert(p, line, dirty);
-    return p.evicted;
+    SAISIM_CHECK_MSG(!contains(line), "double insert of cache line");
+    return fill(line, dirty).evicted;
   }
 
   /// Mark a present line dirty (store hit).
   void mark_dirty(LineAddr line) {
-    Entry* e = find(line);
-    SAISIM_CHECK(e != nullptr);
-    e->tag |= kDirty;
+    const int way = find_way(line);
+    SAISIM_CHECK(way >= 0);
+    tags_[set_of(line) * cfg_.ways + static_cast<u32>(way)] |= kDirty;
   }
 
   /// Drop a line if present; returns whether it was dirty.
@@ -175,147 +199,109 @@ class Cache {
     bool was_dirty;
   };
   Invalidation invalidate(LineAddr line) {
-    Entry* e = find(line);
-    if (e == nullptr) return {false, false};
-    const bool dirty = (e->tag & kDirty) != 0;
-    e->tag = 0;
-    --resident_;
-    return {true, dirty};
+    const int way = find_way(line);
+    if (way < 0) return {false, false};
+    return {true, invalidate_way(set_of(line), static_cast<u32>(way))};
   }
 
   u64 resident_lines() const { return resident_; }
 
+  /// Ways of `set` from MRU to LRU (for audits and tests).
+  std::vector<u32> recency(u64 set) const {
+    std::vector<u32> out(cfg_.ways);
+    for (u32 p = 0; p < cfg_.ways; ++p) {
+      out[p] = packed() ? static_cast<u32>(order_[set] >> (4 * p)) & 0xF
+                        : wide_order_[set * cfg_.ways + p];
+    }
+    return out;
+  }
+
  private:
   static constexpr u64 kValid = 1;
   static constexpr u64 kDirty = 2;
+  static constexpr u64 kNibbles = 0x1111111111111111ull;
 
-  /// Packed tag entry: bits [63:2] line address, bit 1 dirty, bit 0 valid.
-  /// A validity-and-line match is a single masked compare.
-  struct Entry {
-    u64 tag = 0;  // 0 == invalid
-    u64 lru = 0;
-  };
+  bool packed() const { return cfg_.ways <= 16; }
 
-  u64 set_index(LineAddr line) const { return line & set_mask_; }
-
-  /// probe_run body, specialised on the dirty flag so the inner loop is
-  /// pure loads, one compare and one LRU store per line. Consecutive lines
-  /// fill consecutive sets, so the walk is chunked at set-array wrap
-  /// boundaries and the inner loop advances raw pointers. The fallback
-  /// scan (MRU hint wrong) doubles as the victim scan: when it ends with
-  /// the line absent, it has also found the slot an insert would take.
-  template <bool Dirty>
-  u64 probe_run_impl(LineAddr first, u64 count, PendingInsert* miss_victim) {
-    const u64 sets = set_mask_ + 1;
-    const u32 ways = cfg_.ways;
-    u64 clock = lru_clock_;
-    u64 done = 0;
-    u64 want = (first << 2) | kValid;
-    u64 set = first & set_mask_;
-    while (done < count) {
-      const u64 chunk = std::min(count - done, sets - set);
-      Entry* base = lines_.data() + set * ways;
-      u32* mp = mru_way_.data() + set;
-      u64 stop = done + chunk;
-      while (done < stop) {
-        // Tight hint-hit loop: no call is reachable from inside it, so its
-        // state lives in scratch registers (a function call in the body
-        // would force everything into callee-saved slots).
-        for (; done < stop; ++done, want += 4, base += ways, ++mp) {
-          Entry* const e = base + *mp;
-          if ((e->tag & ~kDirty) != want) break;
-          e->lru = ++clock;
-          if constexpr (Dirty) e->tag |= kDirty;
-        }
-        if (done == stop) break;
-        // Hint missed: scan the whole set out of line.
-        Entry* const e = scan_set(base, mp, want, miss_victim);
-        if (e == nullptr) {
-          lru_clock_ = clock;
-          return done;
-        }
-        e->lru = ++clock;
-        if constexpr (Dirty) e->tag |= kDirty;
-        ++done;
-        want += 4;
-        base += ways;
-        ++mp;
-      }
-      set = 0;
-    }
-    lru_clock_ = clock;
-    return done;
-  }
-
-  /// Fallback scan when the MRU hint is wrong: look for `want` across the
-  /// set, refreshing the hint on a hit. This path is itself hot — any
-  /// buffer spanning a set more than once defeats the hint on re-walks —
-  /// so the match loop stays lean; only a genuine miss (line absent) pays
-  /// the second, victim-selection pass over the now L1-resident set.
-  Entry* scan_set(Entry* base, u32* mp, u64 want, PendingInsert* miss_victim) {
-    const u32 ways = cfg_.ways;
-    for (u32 w = 0; w < ways; ++w) {
-      if ((base[w].tag & ~kDirty) == want) {
-        *mp = w;
-        return base + w;
-      }
-    }
-    // Absent. The scan above proves the no-double-insert invariant, so the
-    // victim pass needs only the occupancy and LRU ordering.
-    if (miss_victim != nullptr) {
-      const Entry* victim = nullptr;
-      bool victim_invalid = false;
-      for (u32 w = 0; w < ways; ++w) {
-        const Entry& c = base[w];
-        if ((c.tag & kValid) == 0) {
-          if (!victim_invalid) {  // first invalid way wins, as before
-            victim = &c;
-            victim_invalid = true;
-          }
-        } else if (!victim_invalid &&
-                   (victim == nullptr || c.lru < victim->lru)) {
-          victim = &c;
-        }
-      }
-      miss_victim->set = static_cast<u64>(mp - mru_way_.data());
-      miss_victim->way = static_cast<u32>(victim - base);
-      miss_victim->evicted.reset();
-      if ((victim->tag & kValid) != 0) {
-        miss_victim->evicted =
-            Eviction{victim->tag >> 2, (victim->tag & kDirty) != 0};
-      }
-    }
-    return nullptr;
-  }
-
-  /// Lookup: try the set's MRU way first (one compare on a streaming
-  /// re-walk), fall back to scanning the remaining ways.
-  const Entry* find(LineAddr line) const {
-    const u64 set = set_index(line);
-    const Entry* const base = lines_.data() + set * cfg_.ways;
+  /// Way holding `line`, or -1.
+  int find_way(LineAddr line) const {
+    const u64* base = tags_.data() + set_of(line) * cfg_.ways;
     const u64 want = (line << 2) | kValid;
-    const u32 hint = mru_way_[set];
-    if ((base[hint].tag & ~kDirty) == want) return base + hint;
     for (u32 w = 0; w < cfg_.ways; ++w) {
-      if ((base[w].tag & ~kDirty) == want) {
-        mru_way_[set] = w;
-        return base + w;
-      }
+      if ((base[w] & ~kDirty) == want) return static_cast<int>(w);
     }
-    return nullptr;
+    return -1;
   }
-  Entry* find(LineAddr line) {
-    return const_cast<Entry*>(static_cast<const Cache*>(this)->find(line));
+
+  /// Position of `way` in a packed order word: the lowest nibble equal to
+  /// `way` (unused high nibbles are zero and sit above every real position,
+  /// so the lowest match is exact).
+  static u32 position(u64 order, u32 way) {
+    const u64 x = order ^ (kNibbles * way);
+    const u64 zero = (x - kNibbles) & ~x & (kNibbles << 3);
+    return static_cast<u32>(std::countr_zero(zero)) / 4;
+  }
+
+  void to_mru(u64 set, u32 way) {
+    if (packed()) {
+      const u64 o = order_[set];
+      if ((o & 0xF) == way) return;
+      const u32 p = position(o, way);
+      const u64 below = o & ((u64{1} << (4 * p)) - 1);
+      const u64 above = o & ((~u64{0} << (4 * p)) << 4);
+      order_[set] = above | (below << 4) | way;
+    } else {
+      u8* o = wide_order_.data() + set * cfg_.ways;
+      const u32 p = static_cast<u32>(
+          std::find(o, o + cfg_.ways, static_cast<u8>(way)) - o);
+      std::memmove(o + 1, o, p);
+      o[0] = static_cast<u8>(way);
+    }
+  }
+
+  /// The LRU way becomes MRU (the way fill() just wrote).
+  void lru_to_mru(u64 set) {
+    if (packed()) {
+      const u64 o = order_[set];
+      order_[set] = ((o << 4) & lru_mask_) | (o >> lru_shift_);
+    } else {
+      u8* o = wide_order_.data() + set * cfg_.ways;
+      const u8 way = o[cfg_.ways - 1];
+      std::memmove(o + 1, o, cfg_.ways - 1);
+      o[0] = way;
+    }
+  }
+
+  void to_lru(u64 set, u32 way) {
+    if (packed()) {
+      const u64 o = order_[set];
+      const u32 p = position(o, way);
+      const u64 low = (u64{1} << (4 * p)) - 1;
+      order_[set] = (o & low) | ((o >> 4) & ~low & (lru_mask_ >> 4)) |
+                    (u64{way} << lru_shift_);
+    } else {
+      u8* o = wide_order_.data() + set * cfg_.ways;
+      const u32 p = static_cast<u32>(
+          std::find(o, o + cfg_.ways, static_cast<u8>(way)) - o);
+      std::memmove(o + p, o + p + 1, cfg_.ways - 1 - p);
+      o[cfg_.ways - 1] = static_cast<u8>(way);
+    }
   }
 
   CacheConfig cfg_;
   u64 set_mask_ = 0;
-  u64 lru_clock_ = 0;
   u64 resident_ = 0;
-  std::vector<Entry> lines_;
-  /// Per-set MRU way hint — a lookup accelerator, not cache state: stale
-  /// hints only cost the fallback scan, so const lookups may refresh it.
-  mutable std::vector<u32> mru_way_;
+  /// Packed tag entry: bits [63:2] line address, bit 1 dirty, bit 0 valid
+  /// (0 == invalid), set-major.
+  std::vector<u64> tags_;
+  /// Per-set recency order, nibble k = way at position k (ways <= 16).
+  std::vector<u64> order_;
+  /// Per-set recency order, one byte per position (ways > 16).
+  std::vector<u8> wide_order_;
+  /// Packed order: bit offset of the LRU nibble, and the mask of all
+  /// `ways` nibbles.
+  u32 lru_shift_ = 0;
+  u64 lru_mask_ = 0;
 };
 
 }  // namespace saisim::mem

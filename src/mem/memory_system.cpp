@@ -1,10 +1,87 @@
 #include "mem/memory_system.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "trace/tracer.hpp"
 
 namespace saisim::mem {
+
+namespace {
+constexpr u64 kPsPerSecond = 1'000'000'000'000ull;
+}  // namespace
+
+DramController::DramController(Bandwidth bandwidth, u64 line_bytes,
+                               u64 burst_allowance)
+    : bw_(bandwidth),
+      bps_(bandwidth.is_unlimited()
+               ? 1
+               : static_cast<u64>(bandwidth.bytes_per_second())),
+      line_bytes_(line_bytes),
+      allowance_(burst_allowance),
+      drain_memo_(bps_, kPsPerSecond),
+      phase_memo_(kPsPerSecond, bps_) {
+  if (!unlimited()) {
+    line_xfer_ = bw_.transfer_time(line_bytes);
+    line_rem_ = static_cast<u64>(static_cast<u128>(line_bytes) *
+                                 kPsPerSecond % bps_);
+  }
+}
+
+Time DramController::penalty(u64 backlog) const {
+  return backlog <= allowance_ ? Time::zero()
+                               : bw_.transfer_time(backlog - allowance_);
+}
+
+void DramController::drain(Time now) {
+  if (now <= last_update_) return;
+  const u64 elapsed = static_cast<u64>((now - last_update_).picoseconds());
+  last_update_ = now;
+  const u64 drained = drain_memo_(elapsed).q;
+  if (drained >= backlog_) {
+    backlog_ = 0;
+    return;
+  }
+  backlog_ -= drained;
+  if (phase_valid_ && backlog_ > allowance_) {
+    const u64 r = phase_memo_(drained).r;
+    phase_ = phase_ >= r ? phase_ - r : phase_ + (bps_ - r);
+  } else {
+    phase_valid_ = false;
+  }
+}
+
+Time DramController::book(u64 bytes, Time now) {
+  if (unlimited()) return Time::zero();
+  drain(now);
+  const Time before = penalty(backlog_);
+  backlog_ += bytes;
+  busy_ += bw_.transfer_time(bytes);
+  phase_valid_ = false;
+  return penalty(backlog_) - before;
+}
+
+Time DramController::book_line(Time now) {
+  drain(now);
+  const u64 before = backlog_;
+  backlog_ += line_bytes_;
+  busy_ += line_xfer_;
+  if (backlog_ <= allowance_) return Time::zero();
+  if (before <= allowance_ || !phase_valid_) {
+    // Entering the queueing regime: one division sets the phase up.
+    phase_ = static_cast<u64>(static_cast<u128>(backlog_ - allowance_) *
+                              kPsPerSecond % bps_);
+    phase_valid_ = true;
+    return penalty(backlog_) - penalty(before);
+  }
+  Time inc = line_xfer_;
+  phase_ += line_rem_;
+  if (phase_ >= bps_) {
+    phase_ -= bps_;
+    inc += Time::ps(1);
+  }
+  return inc;
+}
 
 MemorySystem::MemorySystem(int num_cores, const CacheConfig& cache_cfg,
                            const MemoryTimings& timings, Frequency core_freq,
@@ -12,57 +89,31 @@ MemorySystem::MemorySystem(int num_cores, const CacheConfig& cache_cfg,
     : cache_cfg_(cache_cfg),
       timings_(timings),
       core_freq_(core_freq),
-      dram_bw_(dram_bandwidth),
-      owner_(static_cast<u64>(num_cores) * cache_cfg.num_lines()) {
-  SAISIM_CHECK(num_cores > 0);
-  if (!dram_bw_.is_unlimited()) {
-    line_xfer_ = dram_bw_.transfer_time(cache_cfg_.line_bytes);
-  }
+      dram_(dram_bandwidth, cache_cfg.line_bytes,
+            timings.dram_burst_allowance),
+      cycle_memo_(kPsPerSecond, static_cast<u64>(core_freq.hertz())) {
+  SAISIM_CHECK(num_cores > 0 && num_cores <= OwnerDirectory::kMaxCores);
+  SAISIM_CHECK(cache_cfg.ways <= OwnerDirectory::kMaxWays);
   caches_.reserve(static_cast<u64>(num_cores));
   for (int i = 0; i < num_cores; ++i) caches_.emplace_back(cache_cfg);
   stats_.resize(static_cast<u64>(num_cores));
 }
 
-Time MemorySystem::dram_occupy(u64 bytes, Time now) {
-  if (dram_bw_.is_unlimited()) return Time::zero();
-  auto queue_penalty = [this](u64 backlog) {
-    return backlog <= timings_.dram_burst_allowance
-               ? Time::zero()
-               : dram_bw_.transfer_time(backlog -
-                                        timings_.dram_burst_allowance);
-  };
-  // Drain the backlog for the wall time elapsed since the last booking.
-  if (now > dram_last_update_) {
-    const Time elapsed = now - dram_last_update_;
-    // elapsed_ps * bps / 1e12, with the same 64-bit fast path as muldiv:
-    // inter-booking gaps are short, so the product virtually always fits
-    // and the division by a constant becomes a multiply.
-    const u128 prod =
-        static_cast<u128>(static_cast<u64>(elapsed.picoseconds())) *
-        static_cast<u64>(dram_bw_.bytes_per_second());
-    const u64 drained =
-        prod <= static_cast<u128>(UINT64_MAX)
-            ? static_cast<u64>(prod) / 1'000'000'000'000ull
-            : static_cast<u64>(prod / 1'000'000'000'000ull);
-    dram_backlog_bytes_ = drained >= dram_backlog_bytes_
-                              ? 0
-                              : dram_backlog_bytes_ - drained;
-    dram_last_update_ = now;
+Time MemorySystem::progressed(Progress& p, i64 cycles) {
+  const auto step = cycle_memo_(static_cast<u64>(cycles - p.cycles));
+  p.cycles = cycles;
+  p.ps += static_cast<i64>(step.q);
+  p.rem += step.r;
+  if (p.rem >= static_cast<u64>(core_freq_.hertz())) {
+    p.rem -= static_cast<u64>(core_freq_.hertz());
+    ++p.ps;
   }
-  // Queueing appears only when the controller is genuinely oversubscribed
-  // beyond the burst allowance, and each booking pays only the *increment*
-  // of the penalty it causes.
-  const Time before = queue_penalty(dram_backlog_bytes_);
-  dram_backlog_bytes_ += bytes;
-  // The access path books one cache line per call; its serialization time
-  // is precomputed so the hot path pays no division here.
-  dram_busy_ += bytes == cache_cfg_.line_bytes ? line_xfer_
-                                               : dram_bw_.transfer_time(bytes);
-  return queue_penalty(dram_backlog_bytes_) - before;
+  return Time::ps(p.ps);
 }
 
 Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
                           AccessType type, Time now, int reuse_per_line) {
+  using Dir = OwnerDirectory;
   SAISIM_CHECK(core >= 0 && core < num_cores());
   SAISIM_CHECK(bytes > 0);
   SAISIM_CHECK(reuse_per_line >= 0);
@@ -79,82 +130,93 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
   // drain clock below, so the order of accrual is part of the model).
   const i64 hit_cycles = timings_.l2_hit.count();
   const i64 reuse_cycles = hit_cycles * reuse_per_line;
+  const i64 hit_step = reuse_cycles + hit_cycles;
+  const bool dram_limited = !dram_.unlimited();
 
   i64 cycles = 0;
   Time dram_queue = Time::zero();
+  Progress progress;
   u64 hits = 0, misses_c2c = 0, misses_dram = 0;
   u64 evictions = 0, writebacks = 0;
-  const bool dram_limited = !dram_bw_.is_unlimited();
 
   LineAddr line = first;
   while (line <= last) {
-    // Batched walk: consume a run of consecutive hits in one cache scan
-    // with the set cursor carried along (streaming re-reads take this
-    // path for the whole range). When the run stops at a miss, the same
-    // scan has already selected the victim slot for that line.
-    Cache::PendingInsert pending;
-    const u64 run = cache.probe_run(line, last - line + 1, is_write, &pending);
-    hits += run;
-    cycles += static_cast<i64>(run) * (reuse_cycles + hit_cycles);
-    line += run;
-    if (line > last) break;
-
-    // Miss: find the line. Either another core's cache owns it (c2c
-    // transfer, moving ownership) or it comes from DRAM. The controller's
-    // drain clock advances with the access's own progression (latency
-    // cycles spent so far plus accrued queueing).
-    cycles += reuse_cycles;
-    // Both directory slots this miss will touch are random probes into a
-    // multi-megabyte table; start their loads now so the cost
-    // classification below covers the latency.
-    owner_.prefetch(line);
-    if (pending.evicted) owner_.prefetch(pending.evicted->line);
-    // The drain clock sees the access's own progression — latency cycles
-    // and queueing accrued up to this miss. Materialising that Time costs
-    // a 128-bit division, so it is computed at most once per miss, and
-    // only if a bandwidth-limited controller will actually consume it.
-    Time progressed = Time::zero();
-    bool progressed_set = false;
-    const i64 miss_cycles = cycles;
-    const Time miss_queue = dram_queue;
-    const auto progress_now = [&] {
-      if (!progressed_set) {
-        progressed =
-            now + core_freq_.duration(Cycles{miss_cycles}) + miss_queue;
-        progressed_set = true;
+    // One directory page per chunk. Its slots say where each line lives,
+    // so hits and transfers address the right way directly, and an empty
+    // slot is a DRAM fill with no tag scan. Every line walked ends up in
+    // this core's cache, so the page is needed either way.
+    const LineAddr chunk_last = std::min(last, line | (Dir::kPageLines - 1));
+    Dir::Page& page = owner_.page_for(line);
+    while (line <= chunk_last) {
+      Dir::Slot s = page.slots[Dir::page_offset(line)];
+      if (Dir::owner_of(s) == core) {
+        // Hit run: consumed in one tight loop, booked once.
+        const LineAddr run_start = line;
+        do {
+          cache.touch(cache.set_of(line), Dir::way_of(s), is_write);
+          ++line;
+        } while (line <= chunk_last &&
+                 Dir::owner_of(s = page.slots[Dir::page_offset(line)]) ==
+                     core);
+        const u64 run = line - run_start;
+        hits += run;
+        cycles += static_cast<i64>(run) * hit_step;
+        continue;
       }
-      return progressed;
-    };
-    // One directory probe settles both the lookup and the ownership move.
-    const CoreId prev = owner_.assign(line, core);
-    if (prev != kNoCore) {
-      SAISIM_CHECK_MSG(prev != core, "owner map out of sync with cache");
-      const auto inv = caches_[static_cast<u64>(prev)].invalidate(line);
-      SAISIM_CHECK(inv.was_present);
-      ++misses_c2c;
-      ++c2c_transfers_;
-      cycles += timings_.c2c_transfer.count();
-      // Dirty data moves cache-to-cache; ownership transfers with it, so
-      // no writeback to DRAM happens here.
-    } else {
-      ++misses_dram;
-      ++dram_line_reads_;
-      cycles += timings_.dram_access.count();
-      if (dram_limited) dram_queue += dram_occupy(line_bytes, progress_now());
-    }
 
-    cache.commit_insert(pending, line, is_write);
-    if (pending.evicted) {
-      ++evictions;
-      owner_.erase(pending.evicted->line);
-      if (pending.evicted->dirty) {
-        ++writebacks;
-        ++dram_line_writes_;
-        if (dram_limited)
-          dram_queue += dram_occupy(line_bytes, progress_now());
+      // Miss: another core's cache owns the line (c2c transfer, moving
+      // ownership) or it comes from DRAM. The controller's drain clock
+      // sees the access's own progression: latency cycles and queueing
+      // accrued up to this miss, materialised only if a booking needs it.
+      cycles += reuse_cycles;
+      const i64 miss_cycles = cycles;
+      const Time miss_queue = dram_queue;
+      Time arrival = Time::max();
+      const auto arrival_time = [&] {
+        if (arrival == Time::max()) {
+          arrival = now + progressed(progress, miss_cycles) + miss_queue;
+        }
+        return arrival;
+      };
+      if (s != 0) {
+        const CoreId prev = Dir::owner_of(s);
+        Cache& prev_cache = caches_[static_cast<u64>(prev)];
+        const u64 set = cache.set_of(line);
+        SAISIM_CHECK_MSG(prev_cache.valid(set, Dir::way_of(s)) &&
+                             prev_cache.line_at(set, Dir::way_of(s)) == line,
+                         "owner map out of sync with cache");
+        prev_cache.invalidate_way(set, Dir::way_of(s));
+        ++misses_c2c;
+        ++c2c_transfers_;
+        cycles += timings_.c2c_transfer.count();
+        // Dirty data moves cache-to-cache; ownership transfers with it, so
+        // no writeback to DRAM happens here.
+      } else {
+        ++misses_dram;
+        ++dram_line_reads_;
+        cycles += timings_.dram_access.count();
+        if (dram_limited) dram_queue += dram_.book_line(arrival_time());
       }
+
+      // The victim is the LRU way: O(1). The new line's slot is written
+      // before the victim's is cleared, so the page in hand never empties.
+      const Cache::Fill fill = cache.fill(line, is_write);
+      owner_.set(page, line, Dir::slot(core, fill.way));
+      if (fill.evicted) {
+        ++evictions;
+        const LineAddr victim = fill.evicted->line;
+        Dir::Page* victim_page = owner_.find_page(victim);
+        SAISIM_CHECK_MSG(victim_page != nullptr,
+                         "owner map out of sync with cache");
+        owner_.clear(*victim_page, victim);
+        if (fill.evicted->dirty) {
+          ++writebacks;
+          ++dram_line_writes_;
+          if (dram_limited) dram_queue += dram_.book_line(arrival_time());
+        }
+      }
+      ++line;
     }
-    ++line;
   }
 
   // One trace event per access call (not per line), so the tracer's cost
@@ -185,28 +247,37 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
 }
 
 Time MemorySystem::dma_write(Address addr, u64 bytes, Time now) {
+  using Dir = OwnerDirectory;
   SAISIM_CHECK(bytes > 0);
   const u64 line_bytes = cache_cfg_.line_bytes;
   const LineAddr first = addr / line_bytes;
   const LineAddr last = (addr + bytes - 1) / line_bytes;
 
-  // Invalidate any stale cached copies (coherent DMA). erase() reports the
-  // previous owner, so one directory probe per line settles both the
-  // lookup and the removal.
+  // Invalidate any stale cached copies (coherent DMA) as a range clear: a
+  // directory page with no resident line (a freshly allocated buffer) is
+  // skipped whole, and each resident line's slot names the way to drop.
   i64 invalidated = 0;
-  for (LineAddr line = first; line <= last; ++line) {
-    const CoreId prev = owner_.erase(line);
-    if (prev == kNoCore) continue;
-    caches_[static_cast<u64>(prev)].invalidate(line);
-    ++invalidated;
+  for (LineAddr line = first; line <= last;) {
+    const LineAddr chunk_last = std::min(last, line | (Dir::kPageLines - 1));
+    Dir::Page* page = owner_.find_page(line);
+    for (; page != nullptr && line <= chunk_last; ++line) {
+      const Dir::Slot s = page->slots[Dir::page_offset(line)];
+      if (s == 0) continue;
+      caches_[static_cast<u64>(Dir::owner_of(s))].invalidate_way(
+          caches_.front().set_of(line), Dir::way_of(s));
+      ++invalidated;
+      if (owner_.clear(*page, line)) page = nullptr;
+    }
+    line = chunk_last + 1;
   }
   SAISIM_TRACE_EVENT(util::Subsystem::kMem, trace::EventType::kDmaWrite, now,
                      -1, -1, -1, static_cast<i64>(bytes), invalidated);
-  return dram_occupy(bytes, now);
+  return dram_.book(bytes, now);
 }
 
 bool MemorySystem::resident(CoreId core, Address addr, u64 bytes) const {
   SAISIM_CHECK(core >= 0 && core < num_cores());
+  SAISIM_CHECK(bytes > 0);
   const Cache& cache = caches_[static_cast<u64>(core)];
   const u64 line_bytes = cache_cfg_.line_bytes;
   const LineAddr first = addr / line_bytes;
@@ -215,6 +286,53 @@ bool MemorySystem::resident(CoreId core, Address addr, u64 bytes) const {
     if (!cache.contains(line)) return false;
   }
   return true;
+}
+
+std::string MemorySystem::check_coherence() const {
+  using Dir = OwnerDirectory;
+  const u32 ways = cache_cfg_.ways;
+  u64 cached = 0;
+  for (int c = 0; c < num_cores(); ++c) {
+    const Cache& cache = caches_[static_cast<u64>(c)];
+    const std::string where = "core " + std::to_string(c);
+    u64 valid = 0;
+    for (u64 set = 0; set < cache_cfg_.num_sets(); ++set) {
+      std::vector<bool> seen(ways, false);
+      bool invalid_above = false;
+      for (const u32 way : cache.recency(set)) {
+        if (way >= ways || seen[way]) {
+          return where + " set " + std::to_string(set) +
+                 ": recency order is not a permutation of the ways";
+        }
+        seen[way] = true;
+        if (!cache.valid(set, way)) {
+          invalid_above = true;
+          continue;
+        }
+        if (invalid_above) {
+          return where + " set " + std::to_string(set) +
+                 ": a valid way sits below an invalid one in LRU order";
+        }
+        ++valid;
+        const LineAddr line = cache.line_at(set, way);
+        if (cache.set_of(line) != set ||
+            owner_.lookup(line) != Dir::slot(c, way)) {
+          return where + ": line " + std::to_string(line) +
+                 " is cached but the directory does not record it there";
+        }
+      }
+    }
+    if (valid != cache.resident_lines()) {
+      return where + ": " + std::to_string(valid) + " valid lines but " +
+             std::to_string(cache.resident_lines()) + " counted resident";
+    }
+    cached += valid;
+  }
+  if (cached != owner_.size()) {
+    return "directory holds " + std::to_string(owner_.size()) +
+           " lines, caches hold " + std::to_string(cached);
+  }
+  return {};
 }
 
 CoreCacheStats MemorySystem::total_stats() const {

@@ -9,6 +9,7 @@
 // as M per strip (and it makes M vs P explicit and sweepable).
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "mem/address_space.hpp"
@@ -76,6 +77,96 @@ struct CoreCacheStats {
   }
 };
 
+/// floor(x * mul / div) and the remainder, memoised for recurring x. The
+/// booking path converts the same few increments (cycles per line, ps
+/// between bookings) over and over; a hit costs a compare instead of a
+/// 64-bit division. Direct-mapped on the low bits of x; an entry for x = 0
+/// is correct from the start, so no validity flag is needed.
+class ScaledDivMemo {
+ public:
+  ScaledDivMemo(u64 mul, u64 div) : mul_(mul), div_(div) {}
+
+  struct QuotRem {
+    u64 q = 0;
+    u64 r = 0;
+  };
+  QuotRem operator()(u64 x) {
+    Entry& e = memo_[x & (kEntries - 1)];
+    if (e.x != x) {
+      const u128 p = static_cast<u128>(x) * mul_;
+      e.x = x;
+      if (p <= UINT64_MAX) {  // one hardware division, as in muldiv
+        e.qr = {static_cast<u64>(p) / div_, static_cast<u64>(p) % div_};
+      } else {
+        e.qr = {static_cast<u64>(p / div_), static_cast<u64>(p % div_)};
+      }
+    }
+    return e.qr;
+  }
+
+ private:
+  static constexpr u64 kEntries = 4;
+  struct Entry {
+    u64 x = 0;
+    QuotRem qr;
+  };
+  u64 mul_;
+  u64 div_;
+  Entry memo_[kEntries];
+};
+
+/// The shared DRAM controller: a leaky bucket whose backlog drains at the
+/// DRAM rate. A booking first drains the backlog for the time elapsed since
+/// the last booking, then adds its bytes and pays the increment of the
+/// queueing penalty it causes, where the penalty of a backlog is the
+/// serialization time of whatever exceeds the burst allowance.
+///
+/// The access path books one line at a time; book_line() reproduces that
+/// per-line integer rounding without a division per line. The drain of
+/// each interval comes from a memo keyed by the interval, and above the
+/// allowance the penalty increment of one line is its precomputed
+/// quotient plus a carry out of the remainder (backlog - allowance) * 1e12
+/// mod rate, which is stepped instead of recomputed.
+class DramController {
+ public:
+  DramController(Bandwidth bandwidth, u64 line_bytes, u64 burst_allowance);
+
+  bool unlimited() const { return bw_.is_unlimited(); }
+
+  /// Book `bytes` arriving at `now`; returns the queueing delay it adds.
+  Time book(u64 bytes, Time now);
+  /// book(line_bytes, now) on a bandwidth-limited controller, without the
+  /// divisions.
+  Time book_line(Time now);
+
+  /// Cumulative serialization time booked.
+  Time busy() const { return busy_; }
+
+ private:
+  void drain(Time now);
+  Time penalty(u64 backlog) const;
+
+  Bandwidth bw_;
+  u64 bps_ = 0;
+  u64 line_bytes_;
+  u64 allowance_;
+  /// Serialization time of one line and its remainder, line * 1e12 / bps.
+  Time line_xfer_ = Time::zero();
+  u64 line_rem_ = 0;
+
+  Time last_update_ = Time::zero();
+  u64 backlog_ = 0;
+  Time busy_ = Time::zero();
+  /// (backlog - allowance) * 1e12 mod bps while backlog > allowance and
+  /// phase_valid_; a general booking invalidates it.
+  u64 phase_ = 0;
+  bool phase_valid_ = false;
+  /// elapsed ps -> bytes drained; drained bytes -> remainder of their
+  /// serialization time.
+  ScaledDivMemo drain_memo_;
+  ScaledDivMemo phase_memo_;
+};
+
 class MemorySystem {
  public:
   MemorySystem(int num_cores, const CacheConfig& cache_cfg,
@@ -109,6 +200,12 @@ class MemorySystem {
   /// private cache (used by tests to verify the locality mechanism).
   bool resident(CoreId core, Address addr, u64 bytes) const;
 
+  /// Audit the owner directory against the per-core caches: every valid
+  /// cache line is in the directory under that core and way, and the
+  /// directory holds exactly as many lines as the caches. Returns a
+  /// description of the first violation, or an empty string.
+  std::string check_coherence() const;
+
   const CoreCacheStats& core_stats(CoreId core) const {
     return stats_[static_cast<u64>(core)];
   }
@@ -118,31 +215,30 @@ class MemorySystem {
   u64 dram_line_reads() const { return dram_line_reads_; }
   u64 dram_line_writes() const { return dram_line_writes_; }
   /// Cumulative time the DRAM controller spent busy (for saturation checks).
-  Time dram_busy_time() const { return dram_busy_; }
+  Time dram_busy_time() const { return dram_.busy(); }
 
  private:
-  /// Occupy the DRAM controller for `bytes`; returns the queueing +
-  /// serialization delay as seen by a request arriving at `now`.
-  Time dram_occupy(u64 bytes, Time now);
+  /// now + duration(cycles) at the nondecreasing cycle counts where one
+  /// access books DRAM, stepped by quotient and remainder.
+  struct Progress {
+    i64 cycles = 0;
+    i64 ps = 0;
+    u64 rem = 0;
+  };
+  Time progressed(Progress& p, i64 cycles);
 
   CacheConfig cache_cfg_;
   MemoryTimings timings_;
   Frequency core_freq_;
-  Bandwidth dram_bw_;
 
   std::vector<Cache> caches_;
   std::vector<CoreCacheStats> stats_;
-  /// line -> owning core, for lines resident in some private cache.
-  /// Pre-sized to the machine's total line count, so it never rehashes on
-  /// the access path.
+  /// line -> (owning core, way), for lines resident in some private cache.
   OwnerDirectory owner_;
+  DramController dram_;
+  /// cycles -> ps at the core frequency.
+  ScaledDivMemo cycle_memo_;
 
-  /// Serialization time of one cache line (precomputed; zero if unlimited).
-  Time line_xfer_ = Time::zero();
-  /// Leaky-bucket controller state: backlog drains at the DRAM rate.
-  Time dram_last_update_ = Time::zero();
-  u64 dram_backlog_bytes_ = 0;
-  Time dram_busy_ = Time::zero();
   u64 c2c_transfers_ = 0;
   u64 dram_line_reads_ = 0;
   u64 dram_line_writes_ = 0;

@@ -1,141 +1,170 @@
-// Flat open-addressing directory mapping resident cache lines to their
-// owning core.
+// Paged directory mapping resident cache lines to their owning core and
+// the way they occupy in its cache.
 //
 // The coherence model is single-owner (MESI-lite with migratory sharing),
-// so the directory is a LineAddr -> CoreId map that the memory walk hits
-// once per missing line. A std::unordered_map spends the walk chasing
-// buckets and allocating nodes; this table is a single contiguous array
-// with power-of-two capacity, multiplicative hashing and linear probing,
-// and erases use backward-shift deletion instead of tombstones, so probe
-// chains never degrade over the billions of insert/erase cycles a sweep
-// performs. Entries pack line and owner into one 64-bit word (the probes
-// are random touches into a multi-megabyte table, so halving the entry
-// doubles the slots per hardware cache line). The population is bounded by
-// the total number of cache lines in the machine, so MemorySystem pre-sizes
-// the table and it never rehashes on the hot path.
+// so the directory is a LineAddr -> (CoreId, way) map. Accesses walk
+// contiguous line ranges (64 KiB strips, 1 MiB reads), so the map is a
+// page table over the line address space: each page holds one 16-bit slot
+// per line of kPageLines consecutive lines, and a walk does one page
+// lookup per page, then reads slots sequentially. Because the slot holds
+// the way, the memory system's hits and cache-to-cache transfers address
+// the tag store directly, and a line whose slot is empty is proven absent
+// from every cache without a tag scan.
+//
+// Addresses come from a bump allocator that never reuses them, so the set
+// of pages ever touched grows without bound; a page is released to a free
+// list as soon as its last line leaves the caches, so memory stays bounded
+// by the lines resident at once (at most the machine's total cache lines).
 #pragma once
 
-#include <bit>
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "mem/cache.hpp"
 #include "util/assert.hpp"
+#include "util/flat_map.hpp"
 #include "util/types.hpp"
 
 namespace saisim::mem {
 
 class OwnerDirectory {
  public:
-  /// `expected_lines` bounds the live population (e.g. the machine's total
-  /// cache lines); capacity is the next power of two giving load <= 0.5.
-  explicit OwnerDirectory(u64 expected_lines = 256) {
-    u64 cap = std::bit_ceil(expected_lines < 8 ? u64{16} : expected_lines * 2);
-    table_.assign(cap, 0);
-    mask_ = cap - 1;
+  static constexpr u64 kPageShift = 8;
+  static constexpr u64 kPageLines = u64{1} << kPageShift;
+
+  /// One line's slot: owner + 1 in the low byte (0 = in memory only) and
+  /// the owner cache's way in the high byte.
+  using Slot = u16;
+  static Slot slot(CoreId owner, u32 way) {
+    return static_cast<Slot>((way << 8) | static_cast<u32>(owner + 1));
+  }
+  static CoreId owner_of(Slot s) { return static_cast<CoreId>(s & 0xFF) - 1; }
+  static u32 way_of(Slot s) { return s >> 8; }
+
+  /// Largest core id and way a slot can encode.
+  static constexpr int kMaxCores = 255;
+  static constexpr u32 kMaxWays = 256;
+
+  struct Page {
+    std::array<Slot, kPageLines> slots{};
+    u64 live = 0;  // non-empty slots
+  };
+
+  /// Resident lines.
+  u64 size() const { return size_; }
+  /// Line slots backed by allocated pages (live or free-listed).
+  u64 capacity() const { return pages_.size() * kPageLines; }
+
+  static u64 page_no(LineAddr line) { return line >> kPageShift; }
+  static u64 page_offset(LineAddr line) { return line & (kPageLines - 1); }
+
+  /// Page holding `line`'s slot, or nullptr if no line of it is resident.
+  Page* find_page(LineAddr line) {
+    const u64 no = page_no(line);
+    if (no == memo_no_) return memo_;
+    const u32* idx = index_.find(no + 1);
+    if (idx == nullptr) return nullptr;
+    memo_no_ = no;
+    memo_ = pages_[*idx].get();
+    return memo_;
+  }
+  const Page* find_page(LineAddr line) const {
+    const u32* idx = index_.find(page_no(line) + 1);
+    return idx == nullptr ? nullptr : pages_[*idx].get();
   }
 
-  u64 size() const { return size_; }
-  u64 capacity() const { return table_.size(); }
+  /// Page holding `line`'s slot, allocated (empty) if absent.
+  Page& page_for(LineAddr line) {
+    if (Page* p = find_page(line)) return *p;
+    u32 idx;
+    if (free_.empty()) {
+      idx = static_cast<u32>(pages_.size());
+      pages_.push_back(std::make_unique<Page>());
+    } else {
+      idx = free_.back();
+      free_.pop_back();
+    }
+    index_.emplace(page_no(line) + 1, u32{idx});
+    memo_no_ = page_no(line);
+    memo_ = pages_[idx].get();
+    return *memo_;
+  }
 
-  /// Hint that `line`'s slot is about to be probed. The table is a random
-  /// touch into megabytes; the access path issues this for line N+1 while
-  /// the miss handling of line N covers the latency.
-  void prefetch(LineAddr line) const {
-    __builtin_prefetch(&table_[home(line)]);
+  /// Write a slot in `page` (which holds `line`). `s` must be non-empty.
+  void set(Page& page, LineAddr line, Slot s) {
+    Slot& cur = page.slots[page_offset(line)];
+    if (cur == 0) {
+      ++page.live;
+      ++size_;
+    }
+    cur = s;
+  }
+
+  /// Empty a non-empty slot of `page`. Releases the page when it empties
+  /// and then returns true: `page` must not be used again.
+  bool clear(Page& page, LineAddr line) {
+    Slot& cur = page.slots[page_offset(line)];
+    SAISIM_CHECK(cur != 0);
+    cur = 0;
+    --size_;
+    if (--page.live != 0) return false;
+    release(line);
+    return true;
+  }
+
+  /// Slot of `line` (0 if the line is only in memory).
+  Slot lookup(LineAddr line) const {
+    const Page* p = find_page(line);
+    return p == nullptr ? Slot{0} : p->slots[page_offset(line)];
   }
 
   /// Owning core of `line`, or kNoCore if the line is only in memory.
-  CoreId find(LineAddr line) const {
-    for (u64 i = home(line);; i = (i + 1) & mask_) {
-      const u64 w = table_[i];
-      if (w == 0) return kNoCore;
-      if ((w >> kOwnerBits) == line) return owner_of(w);
-    }
-  }
+  CoreId find(LineAddr line) const { return owner_of(lookup(line)); }
 
-  /// Set the owner of `line`, inserting it if absent. Returns the previous
-  /// owner (kNoCore if the line was not present) — the access path uses
-  /// this to fold its find/erase/insert triple into one probe.
-  CoreId assign(LineAddr line, CoreId owner) {
-    const u64 packed = pack(line, owner);
-    if (size_ * 2 >= table_.size()) grow();
-    for (u64 i = home(line);; i = (i + 1) & mask_) {
-      const u64 w = table_[i];
-      if (w == 0) {
-        table_[i] = packed;
-        ++size_;
-        return kNoCore;
-      }
-      if ((w >> kOwnerBits) == line) {
-        table_[i] = packed;
-        return owner_of(w);
-      }
-    }
+  /// Set the owner (and way) of `line`. Returns the previous owner, or
+  /// kNoCore if the line was not present.
+  CoreId assign(LineAddr line, CoreId owner, u32 way = 0) {
+    SAISIM_CHECK(owner >= 0 && owner < kMaxCores && way < kMaxWays);
+    Page& p = page_for(line);
+    const CoreId prev = owner_of(p.slots[page_offset(line)]);
+    set(p, line, slot(owner, way));
+    return prev;
   }
 
   /// Remove `line`. Returns its owner, or kNoCore if it was absent.
-  /// Deletion backshifts the tail of the probe chain (no tombstones).
   CoreId erase(LineAddr line) {
-    u64 i = home(line);
-    for (;; i = (i + 1) & mask_) {
-      const u64 w = table_[i];
-      if (w == 0) return kNoCore;
-      if ((w >> kOwnerBits) == line) break;
-    }
-    const CoreId owner = owner_of(table_[i]);
-    // Backward-shift: pull every displaced entry after the hole one step
-    // back unless that would move it before its home slot.
-    u64 hole = i;
-    for (u64 j = (hole + 1) & mask_;; j = (j + 1) & mask_) {
-      const u64 w = table_[j];
-      if (w == 0) break;
-      const u64 h = home(w >> kOwnerBits);
-      // w may fill the hole iff its home precedes-or-equals the hole in
-      // cyclic probe order, i.e. the hole lies within w's probe chain.
-      if (((j - h) & mask_) >= ((j - hole) & mask_)) {
-        table_[hole] = w;
-        hole = j;
-      }
-    }
-    table_[hole] = 0;
-    --size_;
-    return owner;
+    Page* p = find_page(line);
+    if (p == nullptr) return kNoCore;
+    const CoreId prev = owner_of(p->slots[page_offset(line)]);
+    if (prev != kNoCore) clear(*p, line);
+    return prev;
   }
 
  private:
-  /// Slot word: bits [63:8] line address, bits [7:0] owner + 1 (0 == empty).
-  static constexpr u64 kOwnerBits = 8;
+  using Index = util::FlatIdMap<u32>;
 
-  static u64 pack(LineAddr line, CoreId owner) {
-    SAISIM_CHECK(owner != kNoCore);
-    SAISIM_CHECK(owner >= 0 && owner < (1 << kOwnerBits) - 1);
-    SAISIM_CHECK(line < (u64{1} << (64 - kOwnerBits)));
-    return (line << kOwnerBits) | (static_cast<u64>(owner) + 1);
-  }
-
-  static CoreId owner_of(u64 w) {
-    return static_cast<CoreId>(w & ((u64{1} << kOwnerBits) - 1)) - 1;
-  }
-
-  u64 home(LineAddr line) const {
-    // Fibonacci hashing: one multiply spreads the low-entropy, mostly
-    // sequential line addresses across the table.
-    return (line * 0x9E3779B97F4A7C15ull >> 17) & mask_;
-  }
-
-  void grow() {
-    std::vector<u64> old = std::move(table_);
-    table_.assign(old.size() * 2, 0);
-    mask_ = table_.size() - 1;
-    size_ = 0;
-    for (const u64 w : old) {
-      if (w != 0) assign(w >> kOwnerBits, owner_of(w));
+  void release(LineAddr line) {
+    const u64 no = page_no(line);
+    const u32 idx = *index_.find(no + 1);
+    index_.erase(no + 1);
+    free_.push_back(idx);
+    if (memo_no_ == no) {
+      memo_no_ = kNoPage;
+      memo_ = nullptr;
     }
   }
 
-  std::vector<u64> table_;
-  u64 mask_ = 0;
+  static constexpr u64 kNoPage = ~u64{0};
+
+  /// page number + 1 -> index into pages_ (FlatIdMap reserves key 0).
+  Index index_;
+  std::vector<std::unique_ptr<Page>> pages_;
+  std::vector<u32> free_;
   u64 size_ = 0;
+  /// The last page found: walks and victim runs revisit the same page.
+  u64 memo_no_ = kNoPage;
+  Page* memo_ = nullptr;
 };
 
 }  // namespace saisim::mem

@@ -28,6 +28,7 @@ BufferCache::BufferCache(const BufferCacheConfig& config) : cfg_(config) {
   num_sets_ =
       std::max<u64>(1, cfg_.capacity_bytes /
                            (cfg_.block_bytes * static_cast<u64>(ways_)));
+  SAISIM_CHECK(num_sets_ * static_cast<u64>(ways_) < kNil);
   entries_.resize(num_sets_ * static_cast<u64>(ways_));
 }
 
@@ -43,6 +44,40 @@ const BufferCache::Entry* BufferCache::find(u64 block) const {
   return const_cast<BufferCache*>(this)->find(block);
 }
 
+void BufferCache::link_dirty_tail(Entry& e) {
+  const u32 i = index_of(e);
+  e.dirty_prev = dirty_tail_;
+  e.dirty_next = kNil;
+  if (dirty_tail_ == kNil) {
+    dirty_head_ = i;
+  } else {
+    entries_[dirty_tail_].dirty_next = i & kNil;
+  }
+  dirty_tail_ = i;
+}
+
+void BufferCache::unlink_dirty(Entry& e) {
+  if (e.dirty_prev == kNil) {
+    dirty_head_ = e.dirty_next;
+  } else {
+    entries_[e.dirty_prev].dirty_next = e.dirty_next & kNil;
+  }
+  if (e.dirty_next == kNil) {
+    dirty_tail_ = e.dirty_prev;
+  } else {
+    entries_[e.dirty_next].dirty_prev = e.dirty_prev;
+  }
+  e.dirty_prev = e.dirty_next = kNil;
+}
+
+void BufferCache::refresh(Entry& e) {
+  e.stamp = ++tick_;
+  if (e.dirty && dirty_tail_ != index_of(e)) {
+    unlink_dirty(e);
+    link_dirty_tail(e);
+  }
+}
+
 bool BufferCache::lookup(u64 block) {
   SAISIM_CHECK(enabled());
   Entry* e = find(block);
@@ -50,7 +85,7 @@ bool BufferCache::lookup(u64 block) {
     ++stats_.misses;
     return false;
   }
-  e->stamp = ++tick_;
+  refresh(*e);
   if (e->prefetched) {
     e->prefetched = false;
     ++stats_.readahead_useful;
@@ -63,13 +98,20 @@ bool BufferCache::contains(u64 block) const {
   return enabled() && find(block) != nullptr;
 }
 
+bool BufferCache::is_dirty(u64 block) const {
+  if (!enabled()) return false;
+  const Entry* e = find(block);
+  return e != nullptr && e->dirty;
+}
+
 u64 BufferCache::insert(u64 block, bool dirty, bool prefetched) {
   SAISIM_CHECK(enabled());
   if (Entry* e = find(block)) {
-    e->stamp = ++tick_;
+    refresh(*e);
     if (dirty && !e->dirty) {
       e->dirty = true;
       ++dirty_;
+      link_dirty_tail(*e);
     }
     if (!prefetched) e->prefetched = false;
     return 0;
@@ -89,6 +131,7 @@ u64 BufferCache::insert(u64 block, bool dirty, bool prefetched) {
     if (victim->dirty) {
       ++stats_.dirty_writebacks;
       --dirty_;
+      unlink_dirty(*victim);
       forced = 1;
     }
   }
@@ -97,27 +140,20 @@ u64 BufferCache::insert(u64 block, bool dirty, bool prefetched) {
   victim->valid = true;
   victim->dirty = dirty;
   victim->prefetched = prefetched;
-  if (dirty) ++dirty_;
+  if (dirty) {
+    ++dirty_;
+    link_dirty_tail(*victim);
+  }
   return forced;
 }
 
 u64 BufferCache::take_dirty(u64 max) {
   SAISIM_CHECK(enabled());
-  if (max == 0 || dirty_ == 0) return 0;
-  // Oldest-first over the whole cache: collect (stamp, index), take the
-  // smallest stamps. Deterministic — stamps are unique.
-  std::vector<std::pair<u64, u64>> dirty;
-  dirty.reserve(dirty_);
-  for (u64 i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].valid && entries_[i].dirty) {
-      dirty.emplace_back(entries_[i].stamp, i);
-    }
-  }
-  const u64 n = std::min<u64>(max, dirty.size());
-  std::partial_sort(dirty.begin(), dirty.begin() + static_cast<i64>(n),
-                    dirty.end());
-  for (u64 k = 0; k < n; ++k) {
-    entries_[dirty[k].second].dirty = false;
+  u64 n = 0;
+  for (; n < max && dirty_head_ != kNil; ++n) {
+    Entry& e = entries_[dirty_head_];
+    unlink_dirty(e);
+    e.dirty = false;
   }
   dirty_ -= n;
   stats_.flushed_blocks += n;

@@ -93,30 +93,51 @@ class BufferCache {
   /// Residency check with no LRU or stats side effects.
   bool contains(u64 block) const;
 
+  /// True if `block` is resident and dirty.
+  bool is_dirty(u64 block) const;
+
   /// Install a block (demand fill, write, or prefetch). Returns the number
   /// of dirty victims evicted to make room — forced write-backs the caller
   /// must charge to the disk. Re-inserting a resident block refreshes LRU
   /// and ors in the dirty bit.
   u64 insert(u64 block, bool dirty, bool prefetched);
 
-  /// Collect up to `max` dirty blocks, oldest first, and mark them clean
-  /// (their write-back has been issued). Returns how many were taken.
+  /// Collect up to `max` dirty blocks, oldest first (least recently
+  /// touched), and mark them clean (their write-back has been issued).
+  /// Returns how many were taken.
   u64 take_dirty(u64 max);
 
   /// Bookkeeping hook for the owner: a prefetch batch was issued.
   void note_readahead_issued(u64 blocks) { stats_.readahead_issued += blocks; }
 
  private:
+  /// Null link of the dirty list; entry indices stay below it.
+  static constexpr u32 kNil = (u32{1} << 29) - 1;
+
   struct Entry {
     u64 block = 0;
     u64 stamp = 0;  // LRU: monotone touch counter
-    bool valid = false;
-    bool dirty = false;
-    bool prefetched = false;
+    // Links of the dirty list (entry indices), valid while dirty. The flags
+    // share the forward link's word, which keeps an entry at 24 bytes.
+    u32 dirty_prev = kNil;
+    u32 dirty_next : 29 = kNil;
+    u32 valid : 1 = 0;
+    u32 dirty : 1 = 0;
+    u32 prefetched : 1 = 0;
   };
+  static_assert(sizeof(Entry) == 24);
 
   Entry* find(u64 block);
   const Entry* find(u64 block) const;
+
+  /// Stamp `e` as the most recent touch; a dirty entry moves to the tail
+  /// of the dirty list, which therefore stays in stamp order.
+  void refresh(Entry& e);
+  void link_dirty_tail(Entry& e);
+  void unlink_dirty(Entry& e);
+  u32 index_of(const Entry& e) const {
+    return static_cast<u32>(&e - entries_.data());
+  }
 
   BufferCacheConfig cfg_;
   u64 num_sets_ = 0;
@@ -124,6 +145,10 @@ class BufferCache {
   std::vector<Entry> entries_;  // num_sets_ * ways_, set-major
   u64 tick_ = 0;
   u64 dirty_ = 0;
+  /// Dirty entries, oldest stamp at the head: take_dirty pops from the head
+  /// instead of sorting every entry.
+  u32 dirty_head_ = kNil;
+  u32 dirty_tail_ = kNil;
   Stats stats_;
 };
 

@@ -3,11 +3,11 @@
 // The PFS client's pending-request tables (RequestId -> request state) were
 // std::unordered_map: one heap node per in-flight request plus bucket
 // chasing on every strip arrival — on the hot path of every interrupt. This
-// table is mem::OwnerDirectory's scheme generalised to a mapped value: one
-// contiguous slot array with power-of-two capacity, Fibonacci hashing,
-// linear probing, and backward-shift deletion (no tombstones, so probe
-// chains never degrade over millions of issue/complete cycles). Capacity is
-// retained across erases, so steady state performs no allocation.
+// table is one contiguous slot array with power-of-two capacity, Fibonacci
+// hashing, linear probing, and backward-shift deletion (no tombstones, so
+// probe chains never degrade over millions of issue/complete cycles).
+// Capacity is retained across erases, so steady state performs no
+// allocation. The memory model's owner directory indexes its pages with it.
 //
 // Keys are u64 with 0 reserved as the empty marker (RequestIds start at 1).
 // V must be default-constructible and move-assignable; empty slots hold a
@@ -46,6 +46,9 @@ class FlatIdMap {
       if (s.key == 0) return nullptr;
       if (s.key == key) return &s.value;
     }
+  }
+  const V* find(u64 key) const {
+    return const_cast<FlatIdMap*>(this)->find(key);
   }
 
   /// Insert `v` under `key`, which must be absent. Returns the stored value.

@@ -122,13 +122,14 @@ TEST(Cache, ProbeRunReportsMissVictim) {
   c.insert(0, false);     // set 0
   c.insert(4, true);      // set 0, both ways now full
   c.probe(4);             // make line 4 the more recent way
-  Cache::PendingInsert pending;
-  EXPECT_EQ(c.probe_run(8, 1, false, &pending), 0u);  // set 0, absent
+  EXPECT_EQ(c.probe_run(8, 1, false), 0u);  // set 0, absent
+  // The LRU way is the victim, known before the fill.
+  EXPECT_EQ(c.line_at(c.set_of(8), c.victim_way(c.set_of(8))), 0u);
+  // Filling behaves exactly like insert() of the missing line.
+  const Cache::Fill pending = c.fill(8, false);
   ASSERT_TRUE(pending.evicted.has_value());
   EXPECT_EQ(pending.evicted->line, 0u);  // LRU victim
   EXPECT_FALSE(pending.evicted->dirty);
-  // Committing behaves exactly like insert() of the missing line.
-  c.commit_insert(pending, 8, false);
   EXPECT_TRUE(c.contains(8));
   EXPECT_FALSE(c.contains(0));
   EXPECT_TRUE(c.contains(4));
@@ -137,10 +138,10 @@ TEST(Cache, ProbeRunReportsMissVictim) {
 TEST(Cache, ProbeRunVictimPrefersInvalidWay) {
   Cache c(tiny_cache());
   c.insert(0, false);  // set 0, one way still invalid
-  Cache::PendingInsert pending;
-  EXPECT_EQ(c.probe_run(4, 1, false, &pending), 0u);
+  EXPECT_EQ(c.probe_run(4, 1, false), 0u);
+  EXPECT_FALSE(c.valid(c.set_of(4), c.victim_way(c.set_of(4))));
+  const Cache::Fill pending = c.fill(4, false);
   EXPECT_FALSE(pending.evicted.has_value());  // fills the empty way
-  c.commit_insert(pending, 4, false);
   EXPECT_TRUE(c.contains(0));
   EXPECT_TRUE(c.contains(4));
   EXPECT_EQ(c.resident_lines(), 2u);

@@ -22,6 +22,7 @@ TEST(MemorySystem, ColdReadMissesToDram) {
   EXPECT_EQ(cost, Time::ns(100));
   EXPECT_EQ(ms.core_stats(0).misses_dram, 1u);
   EXPECT_EQ(ms.core_stats(0).accesses, 1u);
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, SecondReadHits) {
@@ -31,6 +32,7 @@ TEST(MemorySystem, SecondReadHits) {
       ms.access(0, 0, 64, MemorySystem::AccessType::kRead, Time::zero());
   EXPECT_EQ(cost, Time::ns(10));
   EXPECT_EQ(ms.core_stats(0).hits, 1u);
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, CrossCoreAccessPaysCacheToCacheTransfer) {
@@ -44,6 +46,7 @@ TEST(MemorySystem, CrossCoreAccessPaysCacheToCacheTransfer) {
   // Ownership migrated: core 1 now hits, core 0 misses.
   EXPECT_TRUE(ms.resident(1, 0, 64));
   EXPECT_FALSE(ms.resident(0, 0, 64));
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, MigrationIsMoreExpensiveThanProcessingPremise) {
@@ -60,12 +63,14 @@ TEST(MemorySystem, MultiLineAccessCountsEachLine) {
   EXPECT_EQ(ms.core_stats(0).accesses, 8u);
   EXPECT_EQ(ms.core_stats(0).misses_dram, 8u);
   EXPECT_EQ(cost, Time::ns(800));
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, UnalignedRangeTouchesStraddledLines) {
   auto ms = make_ms();
   ms.access(0, 60, 8, MemorySystem::AccessType::kRead, Time::zero());
   EXPECT_EQ(ms.core_stats(0).accesses, 2u);
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, DmaInvalidatesCachedCopies) {
@@ -78,6 +83,7 @@ TEST(MemorySystem, DmaInvalidatesCachedCopies) {
   ms.access(1, 0, 64, MemorySystem::AccessType::kRead, Time::zero());
   EXPECT_EQ(ms.core_stats(1).misses_c2c, 0u);
   EXPECT_EQ(ms.core_stats(1).misses_dram, 1u);
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, DirtyEvictionWritesBack) {
@@ -91,6 +97,7 @@ TEST(MemorySystem, DirtyEvictionWritesBack) {
   EXPECT_EQ(ms.core_stats(0).evictions, 1u);
   EXPECT_EQ(ms.core_stats(0).writebacks, 1u);
   EXPECT_EQ(ms.dram_line_writes(), 1u);
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, EvictedLineCanBeReloaded) {
@@ -104,6 +111,7 @@ TEST(MemorySystem, EvictedLineCanBeReloaded) {
   ms.access(0, 0 * stride, 64, MemorySystem::AccessType::kRead, Time::zero());
   EXPECT_EQ(ms.core_stats(0).misses_c2c, 0u);
   EXPECT_EQ(ms.core_stats(0).misses_dram, 4u);
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, DramBandwidthWithinBurstAllowanceIsFree) {
@@ -114,6 +122,7 @@ TEST(MemorySystem, DramBandwidthWithinBurstAllowanceIsFree) {
   EXPECT_EQ(c1, Time::ns(100));
   // Busy accounting still records the serialization.
   EXPECT_EQ(ms.dram_busy_time(), Time::us(1));
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, DramOversubscriptionQueues) {
@@ -123,6 +132,7 @@ TEST(MemorySystem, DramOversubscriptionQueues) {
   const Time d = ms.dma_write(1ull << 30, 512ull << 10, Time::zero());
   const Time expected = Bandwidth::mb_per_sec(64).transfer_time(256ull << 10);
   EXPECT_EQ(d, expected);
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, DramBacklogDrainsOverTime) {
@@ -134,6 +144,7 @@ TEST(MemorySystem, DramBacklogDrainsOverTime) {
   const Time c =
       ms.access(0, 0, 64, MemorySystem::AccessType::kRead, later);
   EXPECT_EQ(c, Time::ns(100));
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, WriteMarksLineDirtyForLaterWriteback) {
@@ -145,6 +156,7 @@ TEST(MemorySystem, WriteMarksLineDirtyForLaterWriteback) {
   ms.access(0, 2 * stride, 64, MemorySystem::AccessType::kRead, Time::zero());
   // Eviction of line 0 (dirty via the write hit) must write back.
   EXPECT_EQ(ms.core_stats(0).writebacks, 1u);
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, TotalStatsAggregateAcrossCores) {
@@ -155,6 +167,33 @@ TEST(MemorySystem, TotalStatsAggregateAcrossCores) {
   EXPECT_EQ(total.accesses, 2u);
   EXPECT_EQ(total.misses_dram, 2u);
   EXPECT_DOUBLE_EQ(total.miss_rate(), 1.0);
+  EXPECT_EQ(ms.check_coherence(), "");
+}
+
+// An empty range has no lines. resident() used to compute its last line
+// as (addr + 0 - 1) / line: from address 0 that wraps to ~2^58 lines and
+// walks them; from a line-aligned address it returned true.
+TEST(MemorySystemDeathTest, ResidentRejectsEmptyRange) {
+  auto ms = make_ms();
+  ms.access(0, 0, 64, MemorySystem::AccessType::kRead, Time::zero());
+  ASSERT_DEATH((void)ms.resident(0, 64, 0), "");
+  EXPECT_DEATH((void)ms.resident(0, 0, 0), "");
+  EXPECT_EQ(ms.check_coherence(), "");
+}
+
+// The directory and the caches stay in step while 200-line buffers move
+// between cores (each move evicts and transfers) and while a DMA write
+// drops lines from the current owner.
+TEST(MemorySystem, CoherenceAuditHoldsAcrossMigrationAndDma) {
+  auto ms = make_ms(4);
+  for (CoreId c = 0; c < 4; ++c) {
+    ms.access(c, 0, 64 * 200, MemorySystem::AccessType::kWrite,
+              Time::zero());
+    EXPECT_EQ(ms.check_coherence(), "");
+  }
+  ms.dma_write(64 * 50, 64 * 100, Time::zero());
+  EXPECT_FALSE(ms.resident(3, 64 * 50, 64));
+  EXPECT_EQ(ms.check_coherence(), "");
 }
 
 TEST(MemorySystem, MissRateDefinitionMatchesPaper) {

@@ -42,7 +42,7 @@ TEST(OwnerDirectory, OwnerZeroIsDistinctFromEmpty) {
 }
 
 TEST(OwnerDirectory, GrowsPastInitialCapacityWithoutLosingEntries) {
-  OwnerDirectory dir(8);  // deliberately undersized
+  OwnerDirectory dir;  // starts with no pages
   const u64 initial_cap = dir.capacity();
   for (LineAddr line = 0; line < 1000; ++line) {
     dir.assign(line, static_cast<CoreId>(line % 7));
@@ -54,12 +54,11 @@ TEST(OwnerDirectory, GrowsPastInitialCapacityWithoutLosingEntries) {
   }
 }
 
-// Backward-shift deletion: erasing from the middle of a probe chain must
-// keep every displaced entry reachable. Sequential lines hash to spread
-// slots, so force collisions by filling a small table densely and erasing
-// in a pattern that punches holes in the middle of chains.
+// Erasing must keep every other entry reachable, across page boundaries
+// and through pages that empty, are released and are reused: fill densely
+// and erase in a pattern that punches holes in the middle of pages.
 TEST(OwnerDirectory, BackshiftDeletionKeepsCollisionChainsReachable) {
-  OwnerDirectory dir(8);
+  OwnerDirectory dir;
   // Fill to just under the growth threshold repeatedly, erasing odd lines
   // between waves; any tombstone-style bug or bad shift condition breaks
   // lookups of the survivors.
@@ -89,10 +88,10 @@ TEST(OwnerDirectory, BackshiftDeletionKeepsCollisionChainsReachable) {
   EXPECT_EQ(dir.size(), model.size());
 }
 
-// Adjacent lines (the common access pattern) plus far-apart aliases that
-// collide after hashing: erase the chain head and verify the rest shift in.
+// Adjacent lines (the common access pattern): erase every other line, then
+// reassign the holes and verify the survivors are untouched.
 TEST(OwnerDirectory, EraseHeadOfChainThenReassign) {
-  OwnerDirectory dir(8);
+  OwnerDirectory dir;
   for (LineAddr line = 0; line < 12; ++line) dir.assign(line, 1);
   for (LineAddr line = 0; line < 12; line += 2) dir.erase(line);
   for (LineAddr line = 1; line < 12; line += 2) {
@@ -103,6 +102,24 @@ TEST(OwnerDirectory, EraseHeadOfChainThenReassign) {
   for (LineAddr line = 0; line < 12; ++line) {
     EXPECT_EQ(dir.find(line), line % 2 == 0 ? 2 : 1);
   }
+}
+
+// Addresses are never reused, so a walk over fresh buffers touches new
+// pages forever. A page whose last line leaves must be released and its
+// storage reused, so memory tracks the resident lines, not the addresses
+// ever touched.
+TEST(OwnerDirectory, EmptiedPagesAreReleasedAndReused) {
+  OwnerDirectory dir;
+  const u64 stride = OwnerDirectory::kPageLines;
+  for (LineAddr page = 0; page < 10'000; ++page) {
+    dir.assign(page * stride + page % stride, 1);
+    if (page > 0) {
+      const LineAddr prev = (page - 1) * stride + (page - 1) % stride;
+      EXPECT_EQ(dir.erase(prev), 1);
+    }
+  }
+  EXPECT_EQ(dir.size(), 1u);
+  EXPECT_LE(dir.capacity(), 2 * OwnerDirectory::kPageLines);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // enabled, not just in the legacy default).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <string>
@@ -14,6 +15,7 @@
 #include "pfs/buffer_cache.hpp"
 #include "pfs/io_server.hpp"
 #include "sweep/runner.hpp"
+#include "util/rng.hpp"
 
 namespace saisim::pfs {
 namespace {
@@ -82,6 +84,62 @@ TEST(BufferCacheUnit, TakeDirtyIsOldestFirst) {
   EXPECT_EQ(c.take_dirty(16), 1u);
   EXPECT_EQ(c.dirty_blocks(), 0u);
   EXPECT_EQ(c.take_dirty(16), 0u);
+}
+
+// take_dirty pops an intrusive list kept in stamp order. Mirror every
+// operation in a model that keeps each resident block's last-touch stamp
+// and picks flush victims the way the cache used to: sort the dirty blocks
+// by stamp and take the oldest. Both must pick exactly the same blocks.
+TEST(BufferCacheUnit, TakeDirtyMatchesStampSortedSelection) {
+  BufferCacheConfig cfg;
+  cfg.capacity_bytes = kBlock * 16;  // 4 sets x 4 ways
+  cfg.ways = 4;
+  BufferCache c(cfg);
+  constexpr u64 kUniverse = 64;
+  struct Model {
+    bool resident = false;
+    bool dirty = false;
+    u64 stamp = 0;
+  };
+  std::vector<Model> model(kUniverse);
+  u64 tick = 0, taken_total = 0;
+  Rng rng(31337);
+  for (int step = 0; step < 20'000; ++step) {
+    const u64 block = rng.below(kUniverse);
+    const u64 roll = rng.below(10);
+    if (roll < 3) {
+      if (c.lookup(block)) model[block].stamp = ++tick;
+    } else if (roll < 9) {
+      const bool dirty = rng.chance(0.4);
+      c.insert(block, dirty, rng.chance(0.2));
+      model[block].stamp = ++tick;
+      model[block].dirty = model[block].dirty || dirty;
+    } else {
+      const u64 max = rng.below(6);
+      std::vector<u64> dirty;
+      for (u64 b = 0; b < kUniverse; ++b) {
+        if (model[b].resident && model[b].dirty) dirty.push_back(b);
+      }
+      std::sort(dirty.begin(), dirty.end(), [&](u64 a, u64 b) {
+        return model[a].stamp < model[b].stamp;
+      });
+      const u64 n = std::min<u64>(max, dirty.size());
+      for (u64 k = 0; k < n; ++k) model[dirty[k]].dirty = false;
+      ASSERT_EQ(c.take_dirty(max), n) << "step " << step;
+      taken_total += n;
+    }
+    // Evictions are the cache's own (unchanged) LRU choice: follow them.
+    u64 dirty_count = 0;
+    for (u64 b = 0; b < kUniverse; ++b) {
+      Model& m = model[b];
+      m.resident = c.contains(b);
+      if (!m.resident) m.dirty = false;
+      ASSERT_EQ(c.is_dirty(b), m.dirty) << "block " << b << " step " << step;
+      dirty_count += m.dirty ? 1 : 0;
+    }
+    ASSERT_EQ(c.dirty_blocks(), dirty_count);
+  }
+  EXPECT_GT(taken_total, 1000u);
 }
 
 TEST(BufferCacheUnit, ReadaheadUsefulCreditedOncePerPrefetch) {
