@@ -36,6 +36,11 @@ struct IoApicStats {
   std::vector<u64> per_core;  // deliveries per destination core
 };
 
+template <class V>
+void describe(V& v, IoApicStats& s) {
+  v.field("raised", s.raised);
+}
+
 class IoApic {
  public:
   /// `delivery_latency` models APIC message propagation + vector dispatch.

@@ -267,9 +267,10 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   }
 
   // ---- Metric aggregation --------------------------------------------
-  // The end-of-run barrier: subsystem stats are published into a named
-  // CounterRegistry, and RunMetrics' integer fields are re-derived from it
-  // — one counter namespace serves the metrics struct, the --metrics CSV,
+  // The end-of-run barrier: each component's stats struct is published
+  // into a named CounterRegistry through its describe() (trace::publish),
+  // and RunMetrics' integer fields are re-derived from it — one counter
+  // namespace serves the metrics struct, the --metrics CSV,
   // and any future consumer, and a divergence between the two would be a
   // bug the golden tests catch.
   trace::CounterRegistry registry;
@@ -281,6 +282,7 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   Time busy_total = Time::zero();
   Time softirq_total = Time::zero();
   double unhalted = 0.0;
+  trace::CounterHarvester<cpu::CoreAccounting> core_totals(registry, "cpu.");
   for (auto& client : clients) {
     cache_total += client->memory().total_stats();
     busy_total += client->cpus().total_busy();
@@ -291,95 +293,45 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
         .add(client->memory().c2c_transfers());
     registry.counter("mem.dram_line_reads")
         .add(client->memory().dram_line_reads());
-    const net::NicStats& nic = client->nic().stats();
-    registry.counter("nic.interrupts").add(nic.interrupts);
-    registry.counter("nic.rx_messages").add(nic.rx_messages);
-    registry.counter("nic.rx_bytes").add(nic.rx_bytes);
-    registry.counter("nic.rx_dropped").add(nic.dropped);
+    trace::publish(registry, "nic.", client->nic().stats());
     const pfs::PfsClientStats& pc = client->pfs().stats();
-    registry.counter("pfs.reads_issued").add(pc.reads_issued);
-    registry.counter("pfs.reads_completed").add(pc.reads_completed);
-    registry.counter("pfs.reads_failed").add(pc.reads_failed);
-    registry.counter("pfs.writes_failed").add(pc.writes_failed);
-    registry.counter("pfs.strips_received").add(pc.strips_received);
-    registry.counter("pfs.retransmits").add(pc.retransmits);
-    registry.counter("pfs.duplicate_strips").add(pc.duplicate_strips);
-    registry.counter("pfs.hedges_issued").add(pc.hedges_issued);
-    registry.counter("pfs.hedges_won").add(pc.hedges_won);
-    registry.counter("pfs.hedges_wasted").add(pc.hedges_wasted);
+    trace::publish(registry, "pfs.", pc);
     if (const pfs::StragglerScheduler* sched = client->pfs().scheduler()) {
-      registry.counter("pfs.sched_redirects")
-          .add(sched->stats().redirected_strips);
-      registry.counter("pfs.sched_probes").add(sched->stats().probe_strips);
+      trace::publish(registry, "pfs.sched_", sched->stats());
     }
     registry.latency("pfs.read_latency_us").merge(pc.read_latency_us_hist);
     for (int i = 0; i < client->cpus().num_cores(); ++i) {
-      const cpu::CoreAccounting& acct =
-          client->cpus().core(i).accounting();
-      registry.counter("cpu.items_completed").add(acct.items_completed);
-      registry.counter("cpu.preemptions").add(acct.preemptions);
-      registry.counter("cpu.timeslice_rotations")
-          .add(acct.timeslice_rotations);
+      core_totals.add(client->cpus().core(i).accounting());
     }
   }
   // Deep-server model: aggregate counters are always registered (all zero
-  // at the default thin config — the CSV is not golden-pinned); per-server
-  // rows (for tools/trace_summary's per-server table) only when the depth
-  // is actually enabled, so default CSVs stay small.
+  // at the default thin config); per-server rows (for tools/trace_summary's
+  // per-server table) only when the depth is actually enabled, so default
+  // CSVs stay small.
   const bool deep_servers =
       cfg.server.cache.capacity_bytes > 0 || cfg.server.sched.enabled;
+  trace::CounterHarvester<pfs::IoServerStats> io_totals(registry, "server.");
+  trace::CounterHarvester<pfs::BufferCache::Stats> cache_totals(
+      registry, "server.cache.");
+  trace::CounterHarvester<pfs::ServerCpu::Stats> sched_totals(
+      registry, "server.sched_");
   for (u64 s = 0; s < servers.size(); ++s) {
-    const pfs::IoServerStats& st = servers[s]->stats();
-    const pfs::BufferCache::Stats& cs = servers[s]->cache().stats();
-    const pfs::ServerCpu::Stats& ss = servers[s]->cpu_stats();
-    registry.counter("server.requests").add(st.requests);
-    registry.counter("server.bytes_served").add(st.bytes_served);
-    registry.counter("server.cache_hits").add(st.cache_hits);
-    registry.counter("server.write_requests").add(st.write_requests);
-    registry.counter("server.bytes_written").add(st.bytes_written);
-    registry.counter("server.cache.block_hits").add(cs.hits);
-    registry.counter("server.cache.block_misses").add(cs.misses);
-    registry.counter("server.cache.evictions").add(cs.evictions);
-    registry.counter("server.cache.dirty_writebacks").add(cs.dirty_writebacks);
-    registry.counter("server.cache.flushed_blocks").add(cs.flushed_blocks);
-    registry.counter("server.cache.readahead_issued").add(cs.readahead_issued);
-    registry.counter("server.cache.readahead_useful").add(cs.readahead_useful);
-    registry.counter("server.flush_bursts").add(st.flush_bursts);
-    registry.counter("server.sched_tasks").add(ss.tasks);
+    const pfs::IoServer& srv = *servers[s];
+    io_totals.add(srv.stats());
+    cache_totals.add(srv.cache().stats());
+    sched_totals.add(srv.cpu_stats());
     if (deep_servers) {
-      const std::string p = "server" + std::to_string(s);
-      registry.counter(p + ".block_hits").add(cs.hits);
-      registry.counter(p + ".block_misses").add(cs.misses);
-      registry.counter(p + ".evictions").add(cs.evictions);
-      registry.counter(p + ".dirty_writebacks").add(cs.dirty_writebacks);
-      registry.counter(p + ".flushed_blocks").add(cs.flushed_blocks);
-      registry.counter(p + ".readahead_issued").add(cs.readahead_issued);
-      registry.counter(p + ".readahead_useful").add(cs.readahead_useful);
-      registry.counter(p + ".tasks").add(ss.tasks);
-      registry.counter(p + ".queue_depth_sum").add(ss.queue_depth_sum);
-      registry.counter(p + ".max_queue_depth").add(ss.max_queue_depth);
-      registry.counter(p + ".queue_wait_ps")
-          .add(static_cast<u64>(ss.queue_wait_ps));
-      registry.counter(p + ".disk_busy_ps")
-          .add(static_cast<u64>(st.disk_busy_ps));
-      registry.counter(p + ".flush_disk_ps")
-          .add(static_cast<u64>(st.flush_disk_ps));
+      const std::string p = "server" + std::to_string(s) + ".";
+      trace::publish(registry, p, srv.stats());
+      trace::publish(registry, p, srv.cache().stats());
+      trace::publish(registry, p, srv.cpu_stats());
     }
   }
   registry.counter("meta.lookups").add(meta.lookups());
   registry.counter("meta.queue_wait_ps")
       .add(static_cast<u64>(meta.queue_wait_ps()));
   registry.counter("meta.max_queue_depth").add(meta.max_queue_depth());
-  if (faults) {
-    const net::FaultStats& fs = faults->stats();
-    registry.counter("fault.packets_dropped").add(fs.packets_dropped);
-    registry.counter("fault.packets_duplicated").add(fs.packets_duplicated);
-    registry.counter("fault.packets_jittered").add(fs.packets_jittered);
-    registry.counter("fault.straggler_delays").add(fs.straggler_delays);
-    registry.counter("fault.straggler_tx_delays").add(fs.straggler_tx_delays);
-    registry.counter("fault.straggler_rx_delays").add(fs.straggler_rx_delays);
-    registry.counter("fault.degraded_packets").add(fs.degraded_packets);
-  }
+  if (faults) trace::publish(registry, "fault.", faults->stats());
 
   registry.counter("sim.events_executed").add(simulation.events_executed());
   registry.counter("sim.pending_events").add(simulation.pending_events());
@@ -424,7 +376,7 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
       latency_n ? latency_sum / static_cast<double>(latency_n) : 0.0;
 
   for (auto& client : clients) {
-    registry.counter("apic.raised").add(client->io_apic().stats().raised);
+    trace::publish(registry, "apic.", client->io_apic().stats());
     if (const auto* sa = dynamic_cast<const apic::SourceAwarePolicy*>(
             &client->io_apic().policy())) {
       registry.counter("apic.hinted_routes").add(sa->hinted_routes());

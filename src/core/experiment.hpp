@@ -157,7 +157,8 @@ struct RunMetrics {
   u64 duplicate_strips = 0;
   /// Reads + writes that exhausted their retransmit budget.
   u64 failed_requests = 0;
-  /// p99 application read latency (log2-bucket upper edge, µs).
+  /// p99 application read latency, µs: the upper edge of its log2 bucket,
+  /// or the bucket's midpoint when every sample fell in one bucket.
   u64 p99_read_latency_us = 0;
   u64 hinted_interrupt_share_x1e4 = 0;  // hinted routes / raised, x1e4
   double mean_read_latency_us = 0.0;
@@ -174,6 +175,35 @@ struct RunMetrics {
   u64 hedges_won = 0;
   u64 hedges_wasted = 0;
 };
+
+/// The sweep export columns, in their stable order (append-only:
+/// downstream BENCH_*.json trajectories key on these names). Time fields
+/// export in µs under a `_us` suffix; per_client_bandwidth_mbps is not a
+/// column.
+template <class V>
+void describe(V& v, RunMetrics& m) {
+  v.field("bandwidth_mbps", m.bandwidth_mbps);
+  v.field("l2_miss_rate", m.l2_miss_rate);
+  v.field("cpu_utilization", m.cpu_utilization);
+  v.field("unhalted_cycles", m.unhalted_cycles);
+  v.field("softirq_cycles", m.softirq_cycles);
+  v.field("mean_read_latency_us", m.mean_read_latency_us);
+  v.field("elapsed", m.elapsed);
+  v.field("total_bytes", m.total_bytes);
+  v.field("c2c_transfers", m.c2c_transfers);
+  v.field("interrupts", m.interrupts);
+  v.field("retransmits", m.retransmits);
+  v.field("rx_drops", m.rx_drops);
+  v.field("hinted_interrupt_share_x1e4", m.hinted_interrupt_share_x1e4);
+  v.field("duplicate_strips", m.duplicate_strips);
+  v.field("failed_requests", m.failed_requests);
+  v.field("p99_read_latency_us", m.p99_read_latency_us);
+  v.field("slo_breaches", m.slo_breaches);
+  v.field("first_slo_breach_us", m.first_slo_breach_us);
+  v.field("hedges_issued", m.hedges_issued);
+  v.field("hedges_won", m.hedges_won);
+  v.field("hedges_wasted", m.hedges_wasted);
+}
 
 /// One simulated client machine and its software stack.
 class ClientNode {

@@ -47,6 +47,15 @@ struct CoreAccounting {
   Cycles unhalted(Frequency f) const { return f.cycles_in(busy_total); }
 };
 
+/// The event counters; busy time reaches RunMetrics through
+/// CpuSystem::total_busy and friends.
+template <class V>
+void describe(V& v, CoreAccounting& a) {
+  v.field("items_completed", a.items_completed);
+  v.field("preemptions", a.preemptions);
+  v.field("timeslice_rotations", a.timeslice_rotations);
+}
+
 class Core {
  public:
   Core(sim::Simulation& simulation, CoreId id, Frequency freq,

@@ -108,6 +108,17 @@ struct FaultStats {
   u64 degraded_packets = 0;
 };
 
+template <class V>
+void describe(V& v, FaultStats& s) {
+  v.field("packets_dropped", s.packets_dropped);
+  v.field("packets_duplicated", s.packets_duplicated);
+  v.field("packets_jittered", s.packets_jittered);
+  v.field("straggler_delays", s.straggler_delays);
+  v.field("straggler_tx_delays", s.straggler_tx_delays);
+  v.field("straggler_rx_delays", s.straggler_rx_delays);
+  v.field("degraded_packets", s.degraded_packets);
+}
+
 class FaultInjector {
  public:
   explicit FaultInjector(FaultConfig cfg) : cfg_(cfg), rng_(cfg.seed) {}

@@ -65,13 +65,23 @@ Time IoServer::disk_busy(u64 bytes, Time ready_at, bool charge_seek,
   return disk_free_at_;
 }
 
-Time IoServer::disk_occupy(u64 bytes, Time ready_at, bool may_cache,
-                           u64 file_offset) {
-  if (may_cache && legacy_cache_hit(cfg_.cache_hit_ratio, file_offset)) {
-    ++stats_.cache_hits;
-    return ready_at;
+// ---- Request pipeline ----------------------------------------------------
+//
+// CPU stage (request parse, charged inline or queued on the modeled core),
+// then cache resolution and the disk, then the reply. With the cache and
+// the scheduler off this is the thin model: request_service inline, the
+// legacy probabilistic cache, one serialized disk access per miss.
+
+template <class K>
+void IoServer::submit_cpu(Time cost, K&& k) {
+  if (sched_cfg_.enabled) {
+    cpu_.submit(ServerCpu::Prio::kForeground, cost, std::forward<K>(k));
+    return;
   }
-  return disk_busy(bytes, ready_at, /*charge_seek=*/true, /*is_flush=*/false);
+  // No CPU model: the work completes after `cost` with no queueing. The
+  // continuation computes future timestamps from done_at and schedules
+  // absolute events, so running it inline is exact (and allocates nothing).
+  k(now() + cost);
 }
 
 void IoServer::on_read_request(net::Packet req) {
@@ -79,52 +89,6 @@ void IoServer::on_read_request(net::Packet req) {
   SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kServerRecv,
                      now(), self_, -1, req.request, req.strip_index,
                      static_cast<i64>(req.span_bytes));
-  if (deep()) {
-    deep_read(std::move(req));
-    return;
-  }
-  // Thin legacy model: fixed CPU service charged inline, probabilistic
-  // cache, one serialized disk access per miss.
-  const Time ready_at = disk_occupy(
-      req.span_bytes, now() + cfg_.request_service + slowdown_,
-      /*may_cache=*/true, req.file_offset);
-
-  sim().at(ready_at, [this, req = std::move(req)]() mutable {
-    send_read_reply(req, now());
-  });
-}
-
-void IoServer::on_write_data(net::Packet data) {
-  ++stats_.write_requests;
-  if (deep()) {
-    deep_write(std::move(data));
-    return;
-  }
-  // Thin legacy model: synchronous write-through — the strip is written to
-  // the (serialized) disk before the ack goes out. PVFS's default sync
-  // semantics; write-back buffering is the server.cache.* deep model.
-  const Time ready_at =
-      disk_occupy(data.payload_bytes, now() + cfg_.request_service + slowdown_,
-                  /*may_cache=*/false, data.file_offset);
-  sim().at(ready_at, [this, data = std::move(data)]() mutable {
-    send_write_ack(data, now());
-  });
-}
-
-// ---- Layered pipeline ----------------------------------------------------
-
-void IoServer::submit_cpu(Time cost, std::function<void(Time)> k) {
-  if (sched_cfg_.enabled) {
-    cpu_.submit(ServerCpu::Prio::kForeground, cost, std::move(k));
-    return;
-  }
-  // No CPU model: the work completes after `cost` with no queueing. The
-  // continuation computes future timestamps from done_at and schedules
-  // absolute events, so running it inline is exact.
-  k(now() + cost);
-}
-
-void IoServer::deep_read(net::Packet req) {
   const Time submitted = now();
   const Time cost = (sched_cfg_.enabled ? sched_cfg_.irq_cost : Time::zero()) +
                     cfg_.request_service + slowdown_;
@@ -134,7 +98,7 @@ void IoServer::deep_read(net::Packet req) {
                        done_at, self_, -1, req.request, req.strip_index,
                        (done_at - submitted - cost).picoseconds());
     if (!cache_.enabled()) {
-      // Scheduler-only depth: the legacy probabilistic cache + disk.
+      // No buffer cache: the legacy probabilistic cache + disk.
       Time ready = done_at;
       if (legacy_cache_hit(cfg_.cache_hit_ratio, req.file_offset)) {
         ++stats_.cache_hits;
@@ -227,7 +191,8 @@ void IoServer::maybe_readahead(const net::Packet& req, u64 last_block,
   disk_busy(prefetched * bs, ready, /*charge_seek=*/false, /*is_flush=*/false);
 }
 
-void IoServer::deep_write(net::Packet data) {
+void IoServer::on_write_data(net::Packet data) {
+  ++stats_.write_requests;
   const Time submitted = now();
   const Time cost = (sched_cfg_.enabled ? sched_cfg_.irq_cost : Time::zero()) +
                     cfg_.request_service + slowdown_;
@@ -237,6 +202,9 @@ void IoServer::deep_write(net::Packet data) {
                        done_at, self_, -1, data.request, data.strip_index,
                        (done_at - submitted - cost).picoseconds());
     if (!cache_.enabled()) {
+      // No buffer cache: synchronous write-through — the strip reaches the
+      // serialized disk before the ack goes out (PVFS's default sync
+      // semantics).
       const Time ready = disk_busy(data.payload_bytes, done_at,
                                    /*charge_seek=*/true, /*is_flush=*/false);
       SAISIM_TRACE_EVENT(util::Subsystem::kPfs,

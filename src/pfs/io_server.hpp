@@ -4,14 +4,15 @@
 // request's SAIs hint into the IP options of every reply packet — the
 // paper's server-side modification.
 //
-// The server is layered when the optional depth is enabled:
+// Every request runs one layered pipeline — CPU stage, cache resolution,
+// disk, reply — whose optional depth is:
 //   * server.cache.* (BufferCache) — set-associative block cache with
 //     write-back + background flush daemon and sequential read-ahead;
 //   * server.sched.* (ServerCpu) — request parse / cache resolution /
 //     reply build / flush work as queued tasks on one modeled core.
-// Both default off; the server then runs the legacy thin model (fixed
-// request_service, probabilistic cache_hit_ratio, synchronous write-
-// through) with bit-identical event timing.
+// Both default off, which degenerates the pipeline to the thin model:
+// fixed request_service charged inline, probabilistic cache_hit_ratio,
+// synchronous write-through.
 #pragma once
 
 #include <map>
@@ -69,6 +70,18 @@ struct IoServerStats {
   i64 flush_disk_ps = 0;
 };
 
+template <class V>
+void describe(V& v, IoServerStats& s) {
+  v.field("requests", s.requests);
+  v.field("bytes_served", s.bytes_served);
+  v.field("cache_hits", s.cache_hits);
+  v.field("write_requests", s.write_requests);
+  v.field("bytes_written", s.bytes_written);
+  v.field("flush_bursts", s.flush_bursts);
+  v.field("disk_busy_ps", s.disk_busy_ps);
+  v.field("flush_disk_ps", s.flush_disk_ps);
+}
+
 class IoServer : public sim::Actor {
  public:
   IoServer(sim::Simulation& simulation, net::Network& network, NodeId self,
@@ -96,20 +109,15 @@ class IoServer : public sim::Actor {
     int streak = 0;
   };
 
-  bool deep() const { return cache_.enabled() || sched_cfg_.enabled; }
-
   void on_request(net::Packet req);
   void on_read_request(net::Packet req);
   void on_write_data(net::Packet data);
-  Time disk_occupy(u64 bytes, Time ready_at, bool may_cache, u64 file_offset);
 
-  // Layered pipeline (deep mode only).
-  void deep_read(net::Packet req);
-  void deep_write(net::Packet data);
   /// CPU stage: run `k(done_at)` after `cost` of foreground CPU work —
   /// queued on the modeled core when the scheduler is on, charged inline
   /// otherwise.
-  void submit_cpu(Time cost, std::function<void(Time)> k);
+  template <class K>
+  void submit_cpu(Time cost, K&& k);
   /// Raw spindle occupancy: serialize `bytes` (plus an optional seek)
   /// starting no earlier than ready_at; returns the completion time.
   Time disk_busy(u64 bytes, Time ready_at, bool charge_seek, bool is_flush);

@@ -557,8 +557,8 @@ void PfsClient::on_rx(const net::Packet& p, CoreId handler, Time at) {
   ++stats_.reads_completed;
   const Time latency = result.completed_at - result.issued_at;
   stats_.read_latency_us.add(latency.microseconds());
-  // Integer-microsecond histogram feeding the run's latency recorder
-  // (trace/counter_registry.hpp).
+  // Integer-microsecond histogram, merged into the run's counter registry
+  // at the end-of-run barrier (trace/counter_registry.hpp).
   stats_.read_latency_us_hist.add(
       static_cast<u64>(latency.picoseconds() / 1'000'000));
   SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kPfsComplete,

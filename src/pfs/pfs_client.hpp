@@ -87,9 +87,29 @@ struct PfsClientStats {
   stats::Summary read_latency_us;
   stats::Summary write_latency_us;
   /// Integer-µs read-latency distribution, merged into the run's
-  /// CounterRegistry latency recorder at the end-of-run barrier.
+  /// CounterRegistry latency histogram at the end-of-run barrier.
   stats::Log2Histogram read_latency_us_hist;
 };
+
+/// The integer counters; the latency summaries and histogram are
+/// aggregated separately.
+template <class V>
+void describe(V& v, PfsClientStats& s) {
+  v.field("reads_issued", s.reads_issued);
+  v.field("reads_completed", s.reads_completed);
+  v.field("reads_failed", s.reads_failed);
+  v.field("writes_issued", s.writes_issued);
+  v.field("writes_completed", s.writes_completed);
+  v.field("writes_failed", s.writes_failed);
+  v.field("strips_requested", s.strips_requested);
+  v.field("strips_received", s.strips_received);
+  v.field("strips_written", s.strips_written);
+  v.field("retransmits", s.retransmits);
+  v.field("duplicate_strips", s.duplicate_strips);
+  v.field("hedges_issued", s.hedges_issued);
+  v.field("hedges_won", s.hedges_won);
+  v.field("hedges_wasted", s.hedges_wasted);
+}
 
 class PfsClient : public sim::Actor {
  public:

@@ -7,7 +7,7 @@
 // acks under FIFO but only steals idle cycles under priority.
 //
 // Disabled (the default) the IoServer never submits tasks and charges its
-// fixed request_service inline — the pre-refactor timing, bit for bit.
+// fixed request_service inline (the thin server model).
 #pragma once
 
 #include <algorithm>
@@ -142,5 +142,14 @@ class ServerCpu {
   u64 seq_ = 0;
   Stats stats_;
 };
+
+template <class V>
+void describe(V& v, ServerCpu::Stats& s) {
+  v.field("tasks", s.tasks);
+  v.field("queue_depth_sum", s.queue_depth_sum);
+  v.peak("max_queue_depth", s.max_queue_depth);
+  v.field("queue_wait_ps", s.queue_wait_ps);
+  v.field("busy_ps", s.busy_ps);
+}
 
 }  // namespace saisim::pfs

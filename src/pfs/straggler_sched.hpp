@@ -97,6 +97,12 @@ struct ClientSchedStats {
   u64 probe_strips = 0;
 };
 
+template <class V>
+void describe(V& v, ClientSchedStats& s) {
+  v.field("redirects", s.redirected_strips);
+  v.field("probes", s.probe_strips);
+}
+
 /// Per-server responsiveness estimator + dispatch decisions. Owned by one
 /// PfsClient; all methods are O(num_servers) worst case and draw no RNG,
 /// so a straggler_aware run replays bit-identically on rerun and at any

@@ -1,110 +1,62 @@
 #include "sweep/export.hpp"
 
+#include <type_traits>
+
 namespace saisim::sweep {
 
 namespace {
 
-struct MetricColumn {
-  const char* name;
-  stats::Table::Cell (*get)(const RunMetrics& m);
+/// Renders one RunMetrics as its export columns, in describe() order.
+class ColumnWriter : public util::reflect::VisitorBase<ColumnWriter> {
+ public:
+  template <class A>
+  void int_field(const util::reflect::FieldInfo& f, A a) {
+    if constexpr (std::is_same_v<A, util::reflect::detail::TimeAccess>) {
+      // Times export in microseconds, as Time::microseconds() renders them.
+      add(std::string(f.name) + "_us", static_cast<double>(a.get()) / 1e6);
+    } else {
+      add(f.name, a.get());
+    }
+  }
+  template <class A>
+  void f64_field(const util::reflect::FieldInfo& f, A a) {
+    add(f.name, a.get());
+  }
+
+  std::vector<std::string> names;
+  std::vector<stats::Table::Cell> cells;
+
+ private:
+  void add(std::string name, stats::Table::Cell cell) {
+    names.push_back(std::move(name));
+    cells.push_back(std::move(cell));
+  }
 };
 
-/// Stable export schema. Append-only: downstream BENCH_*.json trajectories
-/// key on these names.
-constexpr MetricColumn kColumns[] = {
-    {"bandwidth_mbps",
-     [](const RunMetrics& m) { return stats::Table::Cell{m.bandwidth_mbps}; }},
-    {"l2_miss_rate",
-     [](const RunMetrics& m) { return stats::Table::Cell{m.l2_miss_rate}; }},
-    {"cpu_utilization",
-     [](const RunMetrics& m) { return stats::Table::Cell{m.cpu_utilization}; }},
-    {"unhalted_cycles",
-     [](const RunMetrics& m) { return stats::Table::Cell{m.unhalted_cycles}; }},
-    {"softirq_cycles",
-     [](const RunMetrics& m) { return stats::Table::Cell{m.softirq_cycles}; }},
-    {"mean_read_latency_us",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{m.mean_read_latency_us};
-     }},
-    {"elapsed_us",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{m.elapsed.microseconds()};
-     }},
-    {"total_bytes",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.total_bytes)};
-     }},
-    {"c2c_transfers",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.c2c_transfers)};
-     }},
-    {"interrupts",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.interrupts)};
-     }},
-    {"retransmits",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.retransmits)};
-     }},
-    {"rx_drops",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.rx_drops)};
-     }},
-    {"hinted_interrupt_share_x1e4",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.hinted_interrupt_share_x1e4)};
-     }},
-    {"duplicate_strips",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.duplicate_strips)};
-     }},
-    {"failed_requests",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.failed_requests)};
-     }},
-    {"p99_read_latency_us",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.p99_read_latency_us)};
-     }},
-    {"slo_breaches",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.slo_breaches)};
-     }},
-    {"first_slo_breach_us",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.first_slo_breach_us)};
-     }},
-    {"hedges_issued",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.hedges_issued)};
-     }},
-    {"hedges_won",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.hedges_won)};
-     }},
-    {"hedges_wasted",
-     [](const RunMetrics& m) {
-       return stats::Table::Cell{static_cast<i64>(m.hedges_wasted)};
-     }},
-};
+ColumnWriter columns_of(const RunMetrics& m) {
+  ColumnWriter w;
+  describe(w, const_cast<RunMetrics&>(m));
+  return w;
+}
 
 }  // namespace
 
 std::vector<std::string> metric_column_names() {
-  std::vector<std::string> names;
-  for (const MetricColumn& c : kColumns) names.push_back(c.name);
-  return names;
+  return columns_of(RunMetrics{}).names;
 }
 
 stats::Table to_table(const SweepResult& res) {
   std::vector<std::string> headers = res.axis_names;
-  for (const MetricColumn& c : kColumns) headers.push_back(c.name);
+  for (std::string& name : metric_column_names()) {
+    headers.push_back(std::move(name));
+  }
   stats::Table t(std::move(headers));
   for (u64 i = 0; i < res.size(); ++i) {
-    std::vector<stats::Table::Cell> row;
-    row.reserve(res.axis_names.size() + std::size(kColumns));
-    for (const std::string& label : res.points[i].labels) row.push_back(label);
-    for (const MetricColumn& c : kColumns) row.push_back(c.get(res.metrics[i]));
+    std::vector<stats::Table::Cell> row(res.points[i].labels.begin(),
+                                        res.points[i].labels.end());
+    for (stats::Table::Cell& c : columns_of(res.metrics[i]).cells) {
+      row.push_back(std::move(c));
+    }
     t.add_row(std::move(row));
   }
   return t;

@@ -3,7 +3,8 @@
 // The successor to the benches' printf tables: every sweep renders to the
 // existing stats::Table (aligned text for humans) and from there to CSV or
 // JSON with exact round-trip numbers, with one row per grid point and a
-// stable column order (axes first, then the RunMetrics columns below).
+// stable column order (axes first, then the RunMetrics columns its
+// describe() declares, core/experiment.hpp).
 // Multi-sweep binaries bundle their sweeps into one JSON document.
 #pragma once
 
@@ -15,8 +16,8 @@
 
 namespace saisim::sweep {
 
-/// The RunMetrics columns exported for every grid point, in the stable
-/// order used by to_table / CSV / JSON (after the axis columns).
+/// The RunMetrics columns exported for every grid point (describe(RunMetrics)
+/// order), as used by to_table / CSV / JSON after the axis columns.
 std::vector<std::string> metric_column_names();
 
 /// One row per grid point: axis labels, then the metric columns.

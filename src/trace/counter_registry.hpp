@@ -1,25 +1,25 @@
-// Named monotonic counters and latency recorders.
+// Named monotonic counters and latency histograms: the end-of-run metrics
+// namespace of one run.
 //
-// Registration (finding or creating a named counter) takes a mutex — it is
-// the cold path, done once per subsystem per run. Increments and latency
-// records are lock-free relaxed atomics on stable addresses, so concurrent
-// sweep workers can share one registry without contention or UB (the TSan
-// job exercises exactly that). Iteration (`to_table`, `names`) is sorted by
+// A registry is a plain per-run value. run_experiment owns one as a local,
+// fills it at the end-of-run barrier — component stats structs through
+// publish() (one describe() per struct names every counter), the rest by
+// hand — and hands a snapshot() to RunTrace::counters. It is never shared
+// between threads. Iteration (`to_table`, `names`, `snapshot`) is sorted by
 // name, so exported metrics are deterministic regardless of registration
 // order.
 #pragma once
 
-#include <atomic>
-#include <bit>
+#include <algorithm>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "stats/histogram.hpp"
 #include "stats/table.hpp"
+#include "util/reflect.hpp"
 #include "util/types.hpp"
 
 namespace saisim::trace {
@@ -29,61 +29,19 @@ class CounterRegistry {
   /// A monotonic counter. Address is stable for the registry's lifetime.
   class Counter {
    public:
-    void add(u64 delta = 1) { v_.fetch_add(delta, std::memory_order_relaxed); }
-    u64 value() const { return v_.load(std::memory_order_relaxed); }
+    void add(u64 delta = 1) { v_ += delta; }
+    /// High-water-mark fold: keeps the larger value, so a peak published
+    /// by several components reads as their maximum, never their sum.
+    void keep_max(u64 v) { v_ = std::max(v_, v); }
+    u64 value() const { return v_; }
 
    private:
-    std::atomic<u64> v_{0};
+    u64 v_ = 0;
   };
 
-  /// Log2-bucketed latency recorder (same bucketing as stats::Log2Histogram
-  /// but with atomic buckets so workers can record concurrently).
-  class LatencyRecorder {
-   public:
-    static constexpr int kBuckets = 64;
-
-    void record(u64 v) {
-      const int b = v == 0 ? 0 : static_cast<int>(std::bit_width(v)) - 1;
-      buckets_[static_cast<u64>(b)].fetch_add(1, std::memory_order_relaxed);
-      count_.fetch_add(1, std::memory_order_relaxed);
-      total_.fetch_add(v, std::memory_order_relaxed);
-    }
-
-    /// Folds a per-run Log2Histogram (same bucketing) into this recorder —
-    /// the end-of-run barrier merges each subsystem's single-threaded
-    /// histogram rather than re-recording every sample.
-    void merge(const stats::Log2Histogram& h) {
-      for (int i = 0; i < kBuckets; ++i) {
-        const u64 n = h.bucket(i);
-        if (n) buckets_[static_cast<u64>(i)].fetch_add(
-            n, std::memory_order_relaxed);
-      }
-      count_.fetch_add(h.count(), std::memory_order_relaxed);
-      total_.fetch_add(h.total(), std::memory_order_relaxed);
-    }
-
-    u64 count() const { return count_.load(std::memory_order_relaxed); }
-    u64 total() const { return total_.load(std::memory_order_relaxed); }
-    u64 bucket(int i) const {
-      return buckets_[static_cast<u64>(i)].load(std::memory_order_relaxed);
-    }
-
-    /// Approximate quantile: upper edge of the containing bucket (matches
-    /// stats::Log2Histogram::quantile for multi-bucket data). Edge cases:
-    /// empty → 0, all samples in one bucket → that bucket's midpoint, and
-    /// q >= 1.0 clamps to the max populated bucket instead of overflowing
-    /// the bucket scan.
-    u64 quantile(double q) const;
-
-   private:
-    std::atomic<u64> buckets_[kBuckets] = {};
-    std::atomic<u64> count_{0};
-    std::atomic<u64> total_{0};
-  };
-
-  /// Finds or creates the named counter / recorder.
+  /// Finds or creates the named counter / latency histogram.
   Counter& counter(std::string_view name);
-  LatencyRecorder& latency(std::string_view name);
+  stats::Log2Histogram& latency(std::string_view name);
 
   /// Current value of a named counter (0 if never registered).
   u64 value(std::string_view name) const;
@@ -92,7 +50,7 @@ class CounterRegistry {
   std::vector<std::string> names() const;
 
   /// Flattened, name-sorted snapshot: plain counters as (name, value);
-  /// each latency recorder expands to derived integer rows
+  /// each latency histogram expands to derived integer rows
   /// (name.count/.total/.p50/.p99).
   std::vector<std::pair<std::string, u64>> snapshot() const;
 
@@ -100,10 +58,57 @@ class CounterRegistry {
   stats::Table to_table() const;
 
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<LatencyRecorder>, std::less<>>
-      latencies_;
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, stats::Log2Histogram, std::less<>> latencies_;
 };
+
+/// Adds every integer field a `Stats` struct's describe() declares to the
+/// registry as `prefix + field name`: field() values are summed into their
+/// counter, peak() values folded by max. One harvester sums any number of
+/// components' structs (all the servers' IoServerStats, say); it finds
+/// its counters on the first add() and reuses them after that.
+template <class Stats>
+class CounterHarvester
+    : public util::reflect::VisitorBase<CounterHarvester<Stats>> {
+ public:
+  CounterHarvester(CounterRegistry& registry, std::string_view prefix)
+      : registry_(registry), prefix_(prefix) {}
+
+  void add(const Stats& stats) {
+    next_ = 0;
+    // describe() takes a mutable reference so one declaration serves every
+    // visitor; the harvester only reads.
+    describe(*this, const_cast<Stats&>(stats));
+  }
+
+  template <class A>
+  void int_field(const util::reflect::FieldInfo& f, A a) {
+    slot(f.name).add(static_cast<u64>(a.get()));
+  }
+  void peak(const char* name, u64& v) { slot(name).keep_max(v); }
+
+ private:
+  // describe() visits fields in a fixed order, so the n-th field of every
+  // add() is the n-th slot.
+  CounterRegistry::Counter& slot(const char* leaf) {
+    if (next_ == slots_.size()) {
+      slots_.push_back(&registry_.counter(prefix_ + leaf));
+    }
+    return *slots_[next_++];
+  }
+
+  CounterRegistry& registry_;
+  std::string prefix_;
+  std::vector<CounterRegistry::Counter*> slots_;
+  u64 next_ = 0;
+};
+
+/// Publishes one component's stats struct under `prefix` ("nic.",
+/// "server3.", …).
+template <class Stats>
+void publish(CounterRegistry& registry, std::string_view prefix,
+             const Stats& stats) {
+  CounterHarvester<Stats>(registry, prefix).add(stats);
+}
 
 }  // namespace saisim::trace

@@ -8,42 +8,6 @@
 
 namespace saisim::trace {
 
-namespace {
-
-/// Quantile over a 64-entry log2 bucket array (same bucketing as
-/// stats::Log2Histogram / CounterRegistry::LatencyRecorder, and the same
-/// edge semantics the LatencyRecorder regression test pins): empty → 0,
-/// single populated bucket → that bucket's midpoint, otherwise the upper
-/// edge of the bucket containing the clamped target rank.
-u64 log2_quantile(const u64* buckets, double q) {
-  u64 n = 0;
-  int populated = 0;
-  int last = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (buckets[i]) {
-      n += buckets[i];
-      ++populated;
-      last = i;
-    }
-  }
-  if (n == 0) return 0;
-  if (populated == 1) {
-    const u64 lower = last == 0 ? 0 : 1ull << last;
-    const u64 upper = last >= 63 ? ~0ull : (2ull << last) - 1;
-    return lower + (upper - lower) / 2;
-  }
-  u64 target = static_cast<u64>(q * static_cast<double>(n));
-  if (target >= n) target = n - 1;  // q >= 1.0 selects the last sample
-  u64 seen = 0;
-  for (int i = 0; i < 64; ++i) {
-    seen += buckets[i];
-    if (seen > target) return i >= 63 ? ~0ull : (2ull << i) - 1;
-  }
-  return ~0ull;  // unreachable: target < n and the buckets sum to n
-}
-
-}  // namespace
-
 TimelineSampler::TimelineSampler(Time period, int slo_window,
                                  u64 flight_capacity)
     : period_(period), window_(slo_window), flight_capacity_(flight_capacity) {
@@ -103,19 +67,19 @@ i64 TimelineSampler::read_probe(Probe& p) {
     case Kind::kCounter:
       return p.read();
     case Kind::kWindowP99: {
-      std::vector<u64> cur(64);
-      for (int i = 0; i < 64; ++i) cur[static_cast<u64>(i)] = p.hist->bucket(i);
-      u64 window[64];
-      const bool full = p.hist_snaps.size() == static_cast<u64>(window_);
-      for (int i = 0; i < 64; ++i) {
-        const u64 base = full ? p.hist_snaps.front()[static_cast<u64>(i)] : 0;
-        window[i] = cur[static_cast<u64>(i)] - base;
+      // The window is the histogram minus its snapshot from window_ ticks
+      // ago (nothing before the ring fills); the ring's oldest entry is
+      // that snapshot, overwritten by this tick's.
+      stats::Log2Histogram window = *p.hist;
+      if (p.hist_snaps.size() < static_cast<u64>(window_)) {
+        p.hist_snaps.push_back(window);
+      } else {
+        stats::Log2Histogram& oldest = p.hist_snaps[p.oldest_snap];
+        window.subtract(oldest);
+        oldest = *p.hist;
+        p.oldest_snap = (p.oldest_snap + 1) % p.hist_snaps.size();
       }
-      p.hist_snaps.push_back(std::move(cur));
-      if (p.hist_snaps.size() > static_cast<u64>(window_)) {
-        p.hist_snaps.erase(p.hist_snaps.begin());
-      }
-      return static_cast<i64>(log2_quantile(window, 0.99));
+      return static_cast<i64>(window.quantile(0.99));
     }
     case Kind::kWindowRatePpm: {
       const std::pair<u64, u64> cur{static_cast<u64>(p.read()),
@@ -151,7 +115,10 @@ void TimelineSampler::sample(Time now) {
       b.value = v;
       b.threshold = p.threshold;
       if (Tracer* t = Tracer::current()) {
+        // Oldest first: the server's disk-done milestone is recorded at its
+        // future ready time, so recording order is not time order.
         b.flight = t->tail(flight_capacity_);
+        sort_by_time(b.flight);
       }
       SAISIM_TRACE_EVENT(util::Subsystem::kCore, EventType::kSloBreach, now,
                          -1, -1, -1, v, p.threshold,

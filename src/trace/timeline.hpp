@@ -184,10 +184,12 @@ class TimelineSampler {
     bool watched = false;
     bool in_breach = false;
     std::vector<i64> series;
-    /// Rolling window state: cumulative histogram-bucket snapshots for
-    /// p99 probes, cumulative (num, den) pairs for rate probes. At most
-    /// `window_` entries; the front is the window's base.
-    std::vector<std::vector<u64>> hist_snaps;
+    /// Rolling window state, at most `window_` entries each: a ring of
+    /// cumulative histogram snapshots for p99 probes (oldest at
+    /// `oldest_snap`, the window's base once full), and cumulative
+    /// (num, den) pairs for rate probes (front is the base).
+    std::vector<stats::Log2Histogram> hist_snaps;
+    u64 oldest_snap = 0;
     std::vector<std::pair<u64, u64>> rate_snaps;
   };
 

@@ -24,6 +24,11 @@
 //                         (fingerprint collision regression tests);
 // and util/reflect_json.hpp adds the exact flat-key JSON dump/load pair.
 //
+// Component stats structs (NicStats, IoServerStats, …) and RunMetrics are
+// described the same way, so one declaration also names each exported
+// counter (trace::publish harvests them into the run's CounterRegistry;
+// high-water marks use peak()) and each sweep export column.
+//
 // Field values are canonicalised to three scalar channels plus enums:
 // integer (int, u32, i64, u64, Time→ps, Cycles→count, Bandwidth→bytes/s,
 // Frequency→Hz), double, and bool. Visitors implement four hooks —
@@ -262,6 +267,11 @@ class VisitorBase {
                       names);
   }
 
+  /// A high-water mark in a stats struct: described like any integer
+  /// field, but visitors that combine several structs' stats fold it by
+  /// max instead of summing it.
+  void peak(const char* name, u64& r) { field(name, r); }
+
   /// Nested config struct: recurses into its describe() with the group
   /// name pushed onto the dotted path.
   template <class Sub>
@@ -456,7 +466,12 @@ inline std::string range_text(const Check& c, const char* unit) {
 }
 
 inline std::string frange_text(const Check& c) {
-  return "[" + render_f64(c.fmin) + ", " + render_f64(c.fmax) + "]";
+  std::string out = "[";
+  out += render_f64(c.fmin);
+  out += ", ";
+  out += render_f64(c.fmax);
+  out += "]";
+  return out;
 }
 
 inline bool int_check_ok(const Check& c, i64 v) {

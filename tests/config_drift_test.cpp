@@ -100,6 +100,44 @@ TEST(ConfigDrift, StructSizesMatchDescribedLayout) {
 }
 #endif
 
+// The same two fences for the stats structs run_experiment publishes into
+// the counter registry, and for RunMetrics, whose describe() is the sweep
+// export schema: a member added without a describe() line would never be
+// exported, so it trips the size fence while the count stays green. The
+// counts leave out only the members named in the comments, which reach
+// RunMetrics by another path.
+TEST(StatsDrift, DescribedFieldCounts) {
+  EXPECT_EQ(count_fields<net::NicStats>(), 4u);
+  EXPECT_EQ(count_fields<net::FaultStats>(), 7u);
+  // read/write latency summaries and read_latency_us_hist not counted.
+  EXPECT_EQ(count_fields<pfs::PfsClientStats>(), 14u);
+  EXPECT_EQ(count_fields<pfs::ClientSchedStats>(), 2u);
+  // busy_total / busy_by_prio not counted.
+  EXPECT_EQ(count_fields<cpu::CoreAccounting>(), 3u);
+  // per_core not counted.
+  EXPECT_EQ(count_fields<apic::IoApicStats>(), 1u);
+  EXPECT_EQ(count_fields<pfs::IoServerStats>(), 8u);
+  EXPECT_EQ(count_fields<pfs::BufferCache::Stats>(), 7u);
+  EXPECT_EQ(count_fields<pfs::ServerCpu::Stats>(), 5u);
+  // per_client_bandwidth_mbps not counted.
+  EXPECT_EQ(count_fields<RunMetrics>(), 21u);
+}
+
+#if defined(__x86_64__) && defined(__linux__)
+TEST(StatsDrift, StructSizesMatchDescribedLayout) {
+  EXPECT_EQ(sizeof(net::NicStats), 32u);
+  EXPECT_EQ(sizeof(net::FaultStats), 56u);
+  EXPECT_EQ(sizeof(pfs::PfsClientStats), 736u);
+  EXPECT_EQ(sizeof(pfs::ClientSchedStats), 16u);
+  EXPECT_EQ(sizeof(cpu::CoreAccounting), 56u);
+  EXPECT_EQ(sizeof(apic::IoApicStats), 32u);
+  EXPECT_EQ(sizeof(pfs::IoServerStats), 64u);
+  EXPECT_EQ(sizeof(pfs::BufferCache::Stats), 56u);
+  EXPECT_EQ(sizeof(pfs::ServerCpu::Stats), 40u);
+  EXPECT_EQ(sizeof(RunMetrics), 192u);
+}
+#endif
+
 // The default configs must pass their own declared validation — otherwise
 // every bench would exit 2 before doing anything.
 TEST(ConfigDrift, DefaultsAreValid) {

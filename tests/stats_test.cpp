@@ -82,6 +82,56 @@ TEST(Log2Histogram, QuantileFindsBucketEdge) {
   EXPECT_GE(h.quantile(0.999), (1u << 20) - 1);
 }
 
+TEST(Log2Histogram, QuantileEdgeCases) {
+  // Empty histogram: every quantile is 0, not a garbage sentinel.
+  const Log2Histogram empty;
+  EXPECT_EQ(empty.quantile(0.5), 0u);
+  EXPECT_EQ(empty.quantile(0.99), 0u);
+  EXPECT_EQ(empty.quantile(1.0), 0u);
+
+  // Single populated bucket: report the bucket midpoint, not the upper
+  // edge (add(10) lands in [8,15] → 11, where the edge would say 15).
+  Log2Histogram one;
+  one.add(10);
+  EXPECT_EQ(one.quantile(0.5), 11u);
+  EXPECT_EQ(one.quantile(0.99), 11u);
+  Log2Histogram zero;
+  zero.add(0);  // bucket 0 spans [0,1] → midpoint 0
+  EXPECT_EQ(zero.quantile(0.99), 0u);
+
+  // q >= 1.0 must clamp to the max populated bucket instead of falling
+  // off the end of the bucket array and returning ~0ull.
+  Log2Histogram multi;
+  for (u64 v : {1u, 100u, 5000u}) multi.add(v);
+  EXPECT_EQ(multi.quantile(1.0), multi.quantile(0.99));
+  EXPECT_NE(multi.quantile(1.0), ~0ull);
+}
+
+TEST(Log2Histogram, MergeFoldsAHistogramIn) {
+  Log2Histogram h;
+  for (u64 v = 1; v <= 64; ++v) h.add(v);
+  Log2Histogram l;
+  l.add(7);
+  l.merge(h);
+  EXPECT_EQ(l.count(), 65u);
+  EXPECT_EQ(l.total(), 7u + 64u * 65u / 2u);
+}
+
+TEST(Log2Histogram, SubtractLeavesTheSamplesSinceASnapshot) {
+  Log2Histogram h;
+  for (u64 v : {1u, 2u, 1000u}) h.add(v);
+  const Log2Histogram snapshot = h;
+  h.add(5000);
+  h.add(6000);
+  Log2Histogram window = h;
+  window.subtract(snapshot);
+  EXPECT_EQ(window.count(), 2u);
+  EXPECT_EQ(window.total(), 11000u);
+  EXPECT_EQ(window.bucket(0), 0u);
+  EXPECT_EQ(window.bucket(12), 2u);  // 5000 and 6000 in [4096, 8191]
+  EXPECT_EQ(window.quantile(0.99), 6143u);  // one bucket → its midpoint
+}
+
 TEST(Table, TextRenderingAligns) {
   Table t({"name", "value"});
   t.add_row({std::string("alpha"), 1.5});

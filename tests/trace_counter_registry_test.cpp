@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "stats/histogram.hpp"
@@ -39,8 +40,8 @@ TEST(CounterRegistry, NamesAreSorted) {
 TEST(CounterRegistry, SnapshotExpandsLatencyRecorders) {
   CounterRegistry reg;
   reg.counter("plain").add(5);
-  reg.latency("lat").record(100);
-  reg.latency("lat").record(200);
+  reg.latency("lat").add(100);
+  reg.latency("lat").add(200);
   const auto snap = reg.snapshot();
   // name-sorted: lat.count, lat.p50, lat.p99, lat.total, plain
   ASSERT_EQ(snap.size(), 5u);
@@ -53,89 +54,57 @@ TEST(CounterRegistry, SnapshotExpandsLatencyRecorders) {
 }
 
 TEST(CounterRegistry, LatencyQuantileMatchesLog2Histogram) {
+  // The exported .p50/.p99 rows are Log2Histogram::quantile of the merged
+  // samples.
   CounterRegistry reg;
   stats::Log2Histogram h;
-  CounterRegistry::LatencyRecorder& lat = reg.latency("l");
-  for (u64 v : {1u, 2u, 3u, 100u, 1000u, 5000u, 5001u, 100000u}) {
-    h.add(v);
-    lat.record(v);
-  }
-  EXPECT_EQ(lat.count(), h.count());
-  EXPECT_EQ(lat.total(), h.total());
-  EXPECT_EQ(lat.quantile(0.5), h.quantile(0.5));
-  EXPECT_EQ(lat.quantile(0.99), h.quantile(0.99));
-}
-
-TEST(CounterRegistry, QuantileEdgeCases) {
-  CounterRegistry reg;
-  // Empty recorder: every quantile is 0, not a garbage sentinel.
-  EXPECT_EQ(reg.latency("empty").quantile(0.5), 0u);
-  EXPECT_EQ(reg.latency("empty").quantile(0.99), 0u);
-  EXPECT_EQ(reg.latency("empty").quantile(1.0), 0u);
-
-  // Single populated bucket: report the bucket midpoint, not the upper
-  // edge (record(10) lands in [8,15] → 11, where the old code said 15).
-  reg.latency("one").record(10);
-  EXPECT_EQ(reg.latency("one").quantile(0.5), 11u);
-  EXPECT_EQ(reg.latency("one").quantile(0.99), 11u);
-  reg.latency("zero").record(0);  // bucket 0 spans [0,1] → midpoint 0
-  EXPECT_EQ(reg.latency("zero").quantile(0.99), 0u);
-
-  // q >= 1.0 used to fall off the end of the bucket array and return
-  // ~0ull; it must clamp to the max populated bucket.
-  CounterRegistry::LatencyRecorder& lat = reg.latency("multi");
-  for (u64 v : {1u, 100u, 5000u}) lat.record(v);
-  EXPECT_EQ(lat.quantile(1.0), lat.quantile(0.99));
-  EXPECT_NE(lat.quantile(1.0), ~0ull);
-}
-
-TEST(CounterRegistry, MergeFoldsAHistogramIn) {
-  CounterRegistry reg;
-  stats::Log2Histogram h;
-  for (u64 v = 1; v <= 64; ++v) h.add(v);
-  reg.latency("l").record(7);
+  for (u64 v : {1u, 2u, 3u, 100u, 1000u, 5000u, 5001u, 100000u}) h.add(v);
   reg.latency("l").merge(h);
-  EXPECT_EQ(reg.latency("l").count(), 65u);
-  EXPECT_EQ(reg.latency("l").total(), 7u + 64u * 65u / 2u);
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 4u);
+  EXPECT_EQ(snap[0], (std::pair<std::string, u64>{"l.count", h.count()}));
+  EXPECT_EQ(snap[1], (std::pair<std::string, u64>{"l.p50", h.quantile(0.5)}));
+  EXPECT_EQ(snap[2],
+            (std::pair<std::string, u64>{"l.p99", h.quantile(0.99)}));
+  EXPECT_EQ(snap[3], (std::pair<std::string, u64>{"l.total", h.total()}));
 }
 
 TEST(CounterRegistry, ToTableHasOneRowPerSnapshotEntry) {
   CounterRegistry reg;
   reg.counter("a").add(1);
-  reg.latency("b").record(10);
+  reg.latency("b").add(10);
   const stats::Table t = reg.to_table();
   EXPECT_EQ(t.cols(), 2u);
   EXPECT_EQ(t.rows(), 5u);  // a + b.{count,p50,p99,total}
 }
 
-// The concurrency contract: registration is mutex-guarded, increments are
-// relaxed atomics on stable addresses. Run under TSan this proves the
-// lock-free hot path is race-free; run plain it proves no update is lost.
-TEST(CounterRegistry, ConcurrentMixedUseIsExact) {
+struct ToyStats {
+  u64 sent = 0;
+  i64 busy_ps = 0;
+  u64 depth_max = 0;
+};
+
+template <class V>
+void describe(V& v, ToyStats& s) {
+  v.field("sent", s.sent);
+  v.field("busy_ps", s.busy_ps);
+  v.peak("max_depth", s.depth_max);
+}
+
+TEST(CounterRegistry, PublishSumsFieldsAndFoldsPeaksByMax) {
   CounterRegistry reg;
-  constexpr int kThreads = 8;
-  constexpr u64 kPerThread = 20'000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&reg, w] {
-      for (u64 i = 0; i < kPerThread; ++i) {
-        // Both paths hammered concurrently: find-or-create (two shared
-        // names + one per-thread name) and the atomic increments.
-        reg.counter("shared").add();
-        reg.latency("lat").record(i + 1);
-        reg.counter("own." + std::to_string(w)).add(2);
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  EXPECT_EQ(reg.value("shared"), kThreads * kPerThread);
-  EXPECT_EQ(reg.latency("lat").count(), kThreads * kPerThread);
-  EXPECT_EQ(reg.latency("lat").total(),
-            kThreads * (kPerThread * (kPerThread + 1) / 2));
-  for (int w = 0; w < kThreads; ++w) {
-    EXPECT_EQ(reg.value("own." + std::to_string(w)), 2 * kPerThread);
-  }
+  CounterHarvester<ToyStats> totals(reg, "toy.");
+  totals.add(ToyStats{3, 700, 9});
+  totals.add(ToyStats{4, 50, 2});
+  publish(reg, "toy.", ToyStats{1, 1, 1});  // same counters, new harvester
+  publish(reg, "toy1.", ToyStats{4, 50, 2});
+  EXPECT_EQ(reg.value("toy.sent"), 8u);
+  EXPECT_EQ(reg.value("toy.busy_ps"), 751u);
+  EXPECT_EQ(reg.value("toy.max_depth"), 9u);  // max, not 12
+  EXPECT_EQ(reg.value("toy1.max_depth"), 2u);
+  // Field names come from describe(), not the member names.
+  EXPECT_EQ(reg.value("toy.depth_max"), 0u);
+  EXPECT_EQ(reg.names().size(), 6u);
 }
 
 }  // namespace
