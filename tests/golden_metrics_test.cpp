@@ -21,6 +21,7 @@
 #include "core/experiment.hpp"
 #include "memsim/memsim.hpp"
 #include "trace/tracer.hpp"
+#include "util/reflect.hpp"
 
 namespace saisim {
 namespace {
@@ -34,24 +35,28 @@ void hex_u64(std::string& out, u64 v) {
 
 void hex_f64(std::string& out, double v) { hex_u64(out, std::bit_cast<u64>(v)); }
 
-/// Bit-exact encoding of every field of RunMetrics.
+/// Appends each described field as 16 hex digits: integers (Time in ps)
+/// by value, doubles by their IEEE-754 bit pattern.
+class HexFields : public util::reflect::VisitorBase<HexFields> {
+ public:
+  template <class A>
+  void int_field(const util::reflect::FieldInfo&, A a) {
+    hex_u64(out, static_cast<u64>(a.get()));
+  }
+  template <class A>
+  void f64_field(const util::reflect::FieldInfo&, A a) {
+    hex_f64(out, a.get());
+  }
+  std::string out;
+};
+
+/// Bit-exact encoding of every field of RunMetrics: describe() order, then
+/// the per-client bandwidths.
 std::string metrics_fingerprint(const RunMetrics& m) {
-  std::string fp;
-  hex_f64(fp, m.bandwidth_mbps);
-  hex_f64(fp, m.l2_miss_rate);
-  hex_f64(fp, m.cpu_utilization);
-  hex_f64(fp, m.unhalted_cycles);
-  hex_f64(fp, m.softirq_cycles);
-  hex_u64(fp, m.total_bytes);
-  hex_u64(fp, static_cast<u64>(m.elapsed.picoseconds()));
-  hex_u64(fp, m.c2c_transfers);
-  hex_u64(fp, m.interrupts);
-  hex_u64(fp, m.retransmits);
-  hex_u64(fp, m.rx_drops);
-  hex_u64(fp, m.hinted_interrupt_share_x1e4);
-  hex_f64(fp, m.mean_read_latency_us);
-  for (double b : m.per_client_bandwidth_mbps) hex_f64(fp, b);
-  return fp;
+  HexFields v;
+  describe(v, const_cast<RunMetrics&>(m));
+  for (double b : m.per_client_bandwidth_mbps) hex_f64(v.out, b);
+  return v.out;
 }
 
 std::string memsim_fingerprint(const memsim::MemsimResult& r) {
@@ -82,12 +87,12 @@ ExperimentConfig small_experiment(double gbit) {
 
 TEST(GoldenMetrics, Experiment1GigIrqbalance) {
   const RunMetrics m = run_experiment(small_experiment(1.0));
-  EXPECT_EQ(metrics_fingerprint(m), "405ab2a60633f5ec.3fcd0fd371f6d543.3fbf61abcadbc100.41a8cb5676000000.41825b0d58000000.0000000000800000.000000124a069387.0000000000014000.0000000000000084.0000000000000000.0000000000000000.0000000000000000.40add8635ea0ba26.405ab2a60633f5ec.");
+  EXPECT_EQ(metrics_fingerprint(m), "405ab2a60633f5ec.3fcd0fd371f6d543.3fbf61abcadbc100.41a8cb5676000000.41825b0d58000000.40add8635ea0ba26.000000124a069387.0000000000800000.0000000000014000.0000000000000084.0000000000000000.0000000000000000.0000000000000000.0000000000000000.0000000000000000.0000000000001fff.0000000000000000.0000000000000000.0000000000000000.0000000000000000.0000000000000000.405ab2a60633f5ec.");
 }
 
 TEST(GoldenMetrics, Experiment3GigSourceAware) {
   const RunMetrics m = run_experiment(small_experiment(3.0));
-  EXPECT_EQ(metrics_fingerprint(m), "406286f58a1029db.3fc2e40d4b04bd5f.3fbf8c6946df8696.41a1f59df4000000.41825b0d58000000.0000000000800000.0000000d2d6be2df.0000000000000000.0000000000000084.0000000000000000.0000000000000000.00000000000025e0.40a6384b608c825a.406286f58a1029db.");
+  EXPECT_EQ(metrics_fingerprint(m), "406286f58a1029db.3fc2e40d4b04bd5f.3fbf8c6946df8696.41a1f59df4000000.41825b0d58000000.40a6384b608c825a.0000000d2d6be2df.0000000000800000.0000000000000000.0000000000000084.0000000000000000.0000000000000000.00000000000025e0.0000000000000000.0000000000000000.0000000000001fff.0000000000000000.0000000000000000.0000000000000000.0000000000000000.0000000000000000.406286f58a1029db.");
 }
 
 #if defined(SAISIM_TRACING_ENABLED)
@@ -100,7 +105,7 @@ TEST(GoldenMetrics, Experiment1GigUnchangedWithTracingEnabled) {
   trace::TraceScope scope(&tracer);
   const RunMetrics m = run_experiment(small_experiment(1.0));
   EXPECT_GT(tracer.size(), 0u);  // instrumentation actually recorded
-  EXPECT_EQ(metrics_fingerprint(m), "405ab2a60633f5ec.3fcd0fd371f6d543.3fbf61abcadbc100.41a8cb5676000000.41825b0d58000000.0000000000800000.000000124a069387.0000000000014000.0000000000000084.0000000000000000.0000000000000000.0000000000000000.40add8635ea0ba26.405ab2a60633f5ec.");
+  EXPECT_EQ(metrics_fingerprint(m), "405ab2a60633f5ec.3fcd0fd371f6d543.3fbf61abcadbc100.41a8cb5676000000.41825b0d58000000.40add8635ea0ba26.000000124a069387.0000000000800000.0000000000014000.0000000000000084.0000000000000000.0000000000000000.0000000000000000.0000000000000000.0000000000000000.0000000000001fff.0000000000000000.0000000000000000.0000000000000000.0000000000000000.0000000000000000.405ab2a60633f5ec.");
 }
 
 TEST(GoldenMetrics, Experiment3GigUnchangedWithTracingEnabled) {
@@ -108,7 +113,7 @@ TEST(GoldenMetrics, Experiment3GigUnchangedWithTracingEnabled) {
   trace::TraceScope scope(&tracer);
   const RunMetrics m = run_experiment(small_experiment(3.0));
   EXPECT_GT(tracer.size(), 0u);
-  EXPECT_EQ(metrics_fingerprint(m), "406286f58a1029db.3fc2e40d4b04bd5f.3fbf8c6946df8696.41a1f59df4000000.41825b0d58000000.0000000000800000.0000000d2d6be2df.0000000000000000.0000000000000084.0000000000000000.0000000000000000.00000000000025e0.40a6384b608c825a.406286f58a1029db.");
+  EXPECT_EQ(metrics_fingerprint(m), "406286f58a1029db.3fc2e40d4b04bd5f.3fbf8c6946df8696.41a1f59df4000000.41825b0d58000000.40a6384b608c825a.0000000d2d6be2df.0000000000800000.0000000000000000.0000000000000084.0000000000000000.0000000000000000.00000000000025e0.0000000000000000.0000000000000000.0000000000001fff.0000000000000000.0000000000000000.0000000000000000.0000000000000000.0000000000000000.406286f58a1029db.");
 }
 #endif  // SAISIM_TRACING_ENABLED
 

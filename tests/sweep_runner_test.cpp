@@ -10,32 +10,21 @@
 
 #include "sweep/parallel.hpp"
 #include "sweep/runner.hpp"
+#include "util/reflect.hpp"
 
 namespace saisim::sweep {
 namespace {
 
 /// Assert two RunMetrics are bit-for-bit identical (doubles compared by
-/// their bit patterns, not tolerances).
+/// their bit patterns, not tolerances). Walks describe(RunMetrics), so a
+/// field added there is checked with no edit here.
 void expect_bit_identical(const RunMetrics& a, const RunMetrics& b) {
-  auto bits = [](double d) { return std::bit_cast<u64>(d); };
-  EXPECT_EQ(bits(a.bandwidth_mbps), bits(b.bandwidth_mbps));
-  EXPECT_EQ(bits(a.l2_miss_rate), bits(b.l2_miss_rate));
-  EXPECT_EQ(bits(a.cpu_utilization), bits(b.cpu_utilization));
-  EXPECT_EQ(bits(a.unhalted_cycles), bits(b.unhalted_cycles));
-  EXPECT_EQ(bits(a.softirq_cycles), bits(b.softirq_cycles));
-  EXPECT_EQ(bits(a.mean_read_latency_us), bits(b.mean_read_latency_us));
-  EXPECT_EQ(a.elapsed, b.elapsed);
-  EXPECT_EQ(a.total_bytes, b.total_bytes);
-  EXPECT_EQ(a.c2c_transfers, b.c2c_transfers);
-  EXPECT_EQ(a.interrupts, b.interrupts);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.rx_drops, b.rx_drops);
-  EXPECT_EQ(a.hinted_interrupt_share_x1e4, b.hinted_interrupt_share_x1e4);
+  EXPECT_EQ(util::reflect::fingerprint_of(a), util::reflect::fingerprint_of(b));
   ASSERT_EQ(a.per_client_bandwidth_mbps.size(),
             b.per_client_bandwidth_mbps.size());
   for (u64 i = 0; i < a.per_client_bandwidth_mbps.size(); ++i) {
-    EXPECT_EQ(bits(a.per_client_bandwidth_mbps[i]),
-              bits(b.per_client_bandwidth_mbps[i]));
+    EXPECT_EQ(std::bit_cast<u64>(a.per_client_bandwidth_mbps[i]),
+              std::bit_cast<u64>(b.per_client_bandwidth_mbps[i]));
   }
 }
 
