@@ -74,6 +74,8 @@ Time IoServer::disk_busy(u64 bytes, Time ready_at, bool charge_seek,
 
 template <class K>
 void IoServer::submit_cpu(Time cost, K&& k) {
+  static_assert(ServerCpu::Done::kStoresInline<K>,
+                "a server continuation outgrew ServerCpu::Done's inline bytes");
   if (sched_cfg_.enabled) {
     cpu_.submit(ServerCpu::Prio::kForeground, cost, std::forward<K>(k));
     return;

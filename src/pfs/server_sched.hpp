@@ -12,10 +12,10 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 
 #include "sim/simulation.hpp"
 #include "util/reflect.hpp"
+#include "util/small_function.hpp"
 
 namespace saisim::pfs {
 
@@ -68,6 +68,10 @@ class ServerCpu {
     i64 busy_ps = 0;        // total CPU time executed
   };
 
+  /// A task's completion, called with its time. 112 inline bytes hold the
+  /// IoServer's largest continuation (this, two Times and a net::Packet).
+  using Done = SmallFunction<void(Time), 112>;
+
   ServerCpu(sim::Simulation& simulation, SchedDiscipline discipline)
       : sim_(simulation), discipline_(discipline) {}
 
@@ -79,7 +83,7 @@ class ServerCpu {
 
   /// Enqueue `cost` of CPU work; `done(at)` fires inside the completion
   /// event (sim().now() == at).
-  void submit(Prio prio, Time cost, std::function<void(Time)> done) {
+  void submit(Prio prio, Time cost, Done done) {
     ++stats_.tasks;
     const u64 depth = queued() + (running_ ? 1 : 0);
     stats_.queue_depth_sum += depth;
@@ -96,7 +100,7 @@ class ServerCpu {
  private:
   struct Task {
     Time cost;
-    std::function<void(Time)> done;
+    Done done;
     Time submitted;
     u64 seq = 0;
   };
@@ -106,9 +110,12 @@ class ServerCpu {
   void start(Task t) {
     stats_.queue_wait_ps += (sim_.now() - t.submitted).picoseconds();
     stats_.busy_ps += t.cost.picoseconds();
-    sim_.after(t.cost, [this, done = std::move(t.done)] {
-      const Time at = sim_.now();
-      if (done) done(at);
+    // One task runs at a time, so its completion waits here and the event
+    // captures only `this`.
+    running_done_ = std::move(t.done);
+    sim_.after(t.cost, [this] {
+      Done done = std::move(running_done_);
+      if (done) done(sim_.now());
       dispatch_next();
     });
   }
@@ -139,6 +146,7 @@ class ServerCpu {
   SchedDiscipline discipline_;
   std::deque<Task> queue_[2];
   bool running_ = false;
+  Done running_done_;
   u64 seq_ = 0;
   Stats stats_;
 };

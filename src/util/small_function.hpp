@@ -127,6 +127,11 @@ class SmallFunction<R(Args...), InlineBytes> {
 
   alignas(std::max_align_t) std::byte storage_[InlineBytes];
   const Ops* ops_ = nullptr;
+
+ public:
+  /// True if a callable of type F is held in place, with no heap box.
+  template <typename F>
+  static constexpr bool kStoresInline = kInlineable<std::decay_t<F>>;
 };
 
 }  // namespace saisim
