@@ -12,19 +12,30 @@ constexpr u64 kPsPerSecond = 1'000'000'000'000ull;
 }  // namespace
 
 DramController::DramController(Bandwidth bandwidth, u64 line_bytes,
-                               u64 burst_allowance)
+                               u64 burst_allowance, Frequency core_freq)
     : bw_(bandwidth),
       bps_(bandwidth.is_unlimited()
                ? 1
                : static_cast<u64>(bandwidth.bytes_per_second())),
       line_bytes_(line_bytes),
       allowance_(burst_allowance),
+      core_freq_(core_freq),
       drain_memo_(bps_, kPsPerSecond),
       phase_memo_(kPsPerSecond, bps_) {
   if (!unlimited()) {
     line_xfer_ = bw_.transfer_time(line_bytes);
     line_rem_ = static_cast<u64>(static_cast<u128>(line_bytes) *
                                  kPsPerSecond % bps_);
+    // An interval of ps drains floor(ps * bps / 1e12) bytes, so k lines
+    // need ceil(k * line * 1e12 / bps) ps, and a gap of g cycles lasts at
+    // least floor(g * 1e12 / hz) ps.
+    const u128 hz = static_cast<u128>(core_freq.hertz());
+    for (u64 k = 1; k <= 2; ++k) {
+      const u128 ps = (static_cast<u128>(k * line_bytes) * kPsPerSecond +
+                       bps_ - 1) / bps_;
+      clear_gap_[k] =
+          static_cast<i64>((ps * hz + kPsPerSecond - 1) / kPsPerSecond);
+    }
   }
 }
 
@@ -62,10 +73,14 @@ Time DramController::book(u64 bytes, Time now) {
 }
 
 Time DramController::book_line(Time now) {
+  busy_ += line_xfer_;
+  return queue_line(now);
+}
+
+Time DramController::queue_line(Time now) {
   drain(now);
   const u64 before = backlog_;
   backlog_ += line_bytes_;
-  busy_ += line_xfer_;
   if (backlog_ <= allowance_) return Time::zero();
   if (before <= allowance_ || !phase_valid_) {
     // Entering the queueing regime: one division sets the phase up.
@@ -83,6 +98,122 @@ Time DramController::book_line(Time now) {
   return inc;
 }
 
+// A run is booked in three kinds of stretch, each reaching the state the
+// per-line steps would:
+//  * points arriving no later than last_update_ drain nothing, so their
+//    delays telescope to penalty(end) - penalty(start) (book_undrained);
+//  * once the backlog left before a point is no more than the drain of
+//    the run's smallest gap, every later point drains it to zero and books
+//    below the allowance: each adds no delay, and the end state is the
+//    last point's lines at the last arrival;
+//  * anything else (partial drains) goes through queue_line per line.
+// Arrivals are one multiply-divide each: stepping duration() by quotient
+// and remainder sums to floor(cycles * 1e12 / hz).
+Time DramController::book_run(const DramRun& run, Time now, Time queue) {
+  const u64 n = run.size();
+  busy_ += line_xfer_ * static_cast<i64>(run.lines());
+  const u64 max_bytes = run.max_lines() * line_bytes_;
+  const bool can_clear =
+      max_bytes <= allowance_ && run.min_gap() >= clear_gap_[run.max_lines()];
+  Time q = queue;
+  bool drained_prev = false;  // the previous point drained at its arrival
+  for (u64 i = 0; i < n;) {
+    const Time arrival =
+        now + core_freq_.duration(Cycles{run[i].cycles}) + q;
+    if (arrival <= last_update_) {
+      i = book_undrained(run, i, now, q);
+      drained_prev = false;
+      continue;
+    }
+    if (can_clear) {
+      // After a drained point the next interval spans at least the
+      // smallest gap; otherwise measure this one.
+      const bool clears =
+          drained_prev
+              ? backlog_ <= max_bytes
+              : static_cast<u64>(detail::muldiv(
+                    (arrival - last_update_).picoseconds(),
+                    static_cast<i64>(bps_),
+                    static_cast<i64>(kPsPerSecond))) >= backlog_;
+      if (clears) {
+        const DramRun::Point& last = run[n - 1];
+        backlog_ = last.lines * line_bytes_;
+        last_update_ = now + core_freq_.duration(Cycles{last.cycles}) + q;
+        return q - queue;
+      }
+    }
+    for (u32 l = 0; l < run[i].lines; ++l) q += queue_line(arrival);
+    drained_prev = true;
+    ++i;
+  }
+  return q - queue;
+}
+
+u64 DramController::book_undrained(const DramRun& run, u64 i, Time now,
+                                   Time& queue) {
+  const u64 n = run.size();
+  if (backlog_ <= allowance_) {
+    // Below the allowance a booking adds no delay, so later arrivals stay
+    // put: the stretch is every point up to the last cycle count whose
+    // duration fits before last_update_, until a booking crosses the
+    // allowance. duration(c) <= slack iff c * 1e12 < (slack + 1) * hz.
+    const u128 slack =
+        static_cast<u128>((last_update_ - now - queue).picoseconds());
+    const u128 bound =
+        ((slack + 1) * static_cast<u64>(core_freq_.hertz()) - 1) /
+        kPsPerSecond;
+    const i64 last_cycles =
+        bound > static_cast<u128>(INT64_MAX) ? INT64_MAX
+                                             : static_cast<i64>(bound);
+    for (; i < n && run[i].cycles <= last_cycles; ++i) {
+      backlog_ += run[i].lines * line_bytes_;
+      if (backlog_ > allowance_) {
+        // This point crosses into the queueing regime: its delay is the
+        // whole penalty of the new backlog, and one division sets the
+        // phase up.
+        const u128 ps =
+            static_cast<u128>(backlog_ - allowance_) * kPsPerSecond;
+        queue += Time::ps(static_cast<i64>(ps / bps_));
+        phase_ = static_cast<u64>(ps % bps_);
+        phase_valid_ = true;
+        ++i;
+        break;
+      }
+    }
+    if (backlog_ <= allowance_) return i;
+  } else if (!phase_valid_) {
+    phase_ = static_cast<u64>(static_cast<u128>(backlog_ - allowance_) *
+                              kPsPerSecond % bps_);
+    phase_valid_ = true;
+  }
+  // Above the allowance m more lines add m * line_xfer_ plus the carries
+  // out of phase_ + m * line_rem_, and that delay moves every later
+  // arrival. Arrivals still rise with the point, so one binary search
+  // finds the first that drains.
+  const u32 base = run.lines_before(i);
+  const auto delay = [&](u64 j) {
+    const u64 m = run.lines_before(j) - base;
+    return line_xfer_ * static_cast<i64>(m) +
+           Time::ps(static_cast<i64>((phase_ + m * line_rem_) / bps_));
+  };
+  u64 lo = i, hi = n;
+  while (lo < hi) {
+    const u64 mid = lo + (hi - lo) / 2;
+    const Time arrival = now + core_freq_.duration(Cycles{run[mid].cycles}) +
+                         queue + delay(mid);
+    if (arrival <= last_update_) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  const u64 m = run.lines_before(lo) - base;
+  queue += delay(lo);
+  phase_ = (phase_ + m * line_rem_) % bps_;
+  backlog_ += m * line_bytes_;
+  return lo;
+}
+
 MemorySystem::MemorySystem(int num_cores, const CacheConfig& cache_cfg,
                            const MemoryTimings& timings, Frequency core_freq,
                            Bandwidth dram_bandwidth)
@@ -90,25 +221,12 @@ MemorySystem::MemorySystem(int num_cores, const CacheConfig& cache_cfg,
       timings_(timings),
       core_freq_(core_freq),
       dram_(dram_bandwidth, cache_cfg.line_bytes,
-            timings.dram_burst_allowance),
-      cycle_memo_(kPsPerSecond, static_cast<u64>(core_freq.hertz())) {
+            timings.dram_burst_allowance, core_freq) {
   SAISIM_CHECK(num_cores > 0 && num_cores <= OwnerDirectory::kMaxCores);
   SAISIM_CHECK(cache_cfg.ways <= OwnerDirectory::kMaxWays);
   caches_.reserve(static_cast<u64>(num_cores));
   for (int i = 0; i < num_cores; ++i) caches_.emplace_back(cache_cfg);
   stats_.resize(static_cast<u64>(num_cores));
-}
-
-Time MemorySystem::progressed(Progress& p, i64 cycles) {
-  const auto step = cycle_memo_(static_cast<u64>(cycles - p.cycles));
-  p.cycles = cycles;
-  p.ps += static_cast<i64>(step.q);
-  p.rem += step.r;
-  if (p.rem >= static_cast<u64>(core_freq_.hertz())) {
-    p.rem -= static_cast<u64>(core_freq_.hertz());
-    ++p.ps;
-  }
-  return Time::ps(p.ps);
 }
 
 Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
@@ -135,7 +253,7 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
 
   i64 cycles = 0;
   Time dram_queue = Time::zero();
-  Progress progress;
+  DramRun run;
   u64 hits = 0, misses_c2c = 0, misses_dram = 0;
   u64 evictions = 0, writebacks = 0;
 
@@ -147,6 +265,7 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
     // this core's cache, so the page is needed either way.
     const LineAddr chunk_last = std::min(last, line | (Dir::kPageLines - 1));
     Dir::Page& page = owner_.page_for(line);
+    run.clear();
     while (line <= chunk_last) {
       Dir::Slot s = page.slots[Dir::page_offset(line)];
       if (Dir::owner_of(s) == core) {
@@ -158,26 +277,20 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
         } while (line <= chunk_last &&
                  Dir::owner_of(s = page.slots[Dir::page_offset(line)]) ==
                      core);
-        const u64 run = line - run_start;
-        hits += run;
-        cycles += static_cast<i64>(run) * hit_step;
+        const u64 run_lines = line - run_start;
+        hits += run_lines;
+        cycles += static_cast<i64>(run_lines) * hit_step;
         continue;
       }
 
       // Miss: another core's cache owns the line (c2c transfer, moving
       // ownership) or it comes from DRAM. The controller's drain clock
-      // sees the access's own progression: latency cycles and queueing
-      // accrued up to this miss, materialised only if a booking needs it.
+      // sees the access's own progression: the DRAM lines this miss books
+      // arrive after the latency cycles accrued up to it, plus the
+      // queueing booked before it.
       cycles += reuse_cycles;
       const i64 miss_cycles = cycles;
-      const Time miss_queue = dram_queue;
-      Time arrival = Time::max();
-      const auto arrival_time = [&] {
-        if (arrival == Time::max()) {
-          arrival = now + progressed(progress, miss_cycles) + miss_queue;
-        }
-        return arrival;
-      };
+      u32 dram_lines = 0;
       if (s != 0) {
         const CoreId prev = Dir::owner_of(s);
         Cache& prev_cache = caches_[static_cast<u64>(prev)];
@@ -195,7 +308,7 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
         ++misses_dram;
         ++dram_line_reads_;
         cycles += timings_.dram_access.count();
-        if (dram_limited) dram_queue += dram_.book_line(arrival_time());
+        dram_lines = 1;
       }
 
       // The victim is the LRU way: O(1). The new line's slot is written
@@ -212,11 +325,15 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
         if (fill.evicted->dirty) {
           ++writebacks;
           ++dram_line_writes_;
-          if (dram_limited) dram_queue += dram_.book_line(arrival_time());
+          ++dram_lines;
         }
       }
+      if (dram_limited && dram_lines != 0) run.add(miss_cycles, dram_lines);
       ++line;
     }
+    // The page's bookings go to the controller together; the walk above
+    // never reads the clock, so deferring them changes nothing.
+    if (!run.empty()) dram_queue += dram_.book_run(run, now, dram_queue);
   }
 
   // One trace event per access call (not per line), so the tracer's cost

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "mem/memory_system.hpp"
 #include "mem_line_walk_reference.hpp"
@@ -241,6 +242,87 @@ TEST(MemFuzz, ExtentModelMatchesLineWalk) {
   }
   EXPECT_GE(ops, 50'000u);
   EXPECT_GT(queued, 100u);  // the limited controllers really queued
+}
+
+// The paper's client geometry (8 cores, 512 KiB 16-way caches, 256 KiB
+// burst allowance, 5333 MB/s DRAM) driven through 64 KiB strip lifecycles:
+// the NIC DMAs a strip in, one core touches it for writing with reuse 1,
+// then that core or another reads it with reuse 3. Lifecycles from all
+// cores overlap in time, so later bookings step back behind earlier ones
+// and the backlog crosses the allowance in the middle of miss runs, and
+// full caches write dirty victims back beside their fills. A twin with
+// unlimited DRAM shows that queueing really engaged.
+TEST(MemFuzz, StripLifecyclesMatchLineWalkAtPaperGeometry) {
+  constexpr int kCores = 8;
+  constexpr u64 kStrip = 64ull << 10;
+  const CacheConfig cfg{.capacity_bytes = 512ull << 10, .line_bytes = 64,
+                        .ways = 16};
+  MemoryTimings timings;
+  timings.dram_burst_allowance = 256ull << 10;
+  const Bandwidth dram = Bandwidth::mb_per_sec(5333);
+  const Frequency freq = Frequency::ghz(2.7);
+  MemorySystem ms(kCores, cfg, timings, freq, dram);
+  reference::LineWalkMemory ref(kCores, cfg, timings, freq, dram);
+  MemorySystem free_dram(kCores, cfg, timings, freq, Bandwidth::unlimited());
+  Rng rng(0x57219);
+  Address fresh = u64{1} << 32;
+  std::vector<Address> recent;  // strips still likely cached somewhere
+  Time clock = Time::ms(1);
+  u64 queued = 0;
+  constexpr int kLifecycles = 600;
+  for (int step = 0; step < kLifecycles; ++step) {
+    Address strip;
+    if (recent.size() >= 4 && rng.chance(0.2)) {
+      strip = recent[rng.below(recent.size())];
+    } else {
+      strip = fresh;
+      fresh += kStrip;
+      recent.push_back(strip);
+      if (recent.size() > 64) recent.erase(recent.begin());
+    }
+    const CoreId writer = static_cast<CoreId>(rng.below(kCores));
+    const CoreId reader = rng.chance(0.5)
+                              ? writer
+                              : static_cast<CoreId>(rng.below(kCores));
+    // Lifecycles start up to 120 us apart and each lasts about 100-400 us,
+    // so several overlap and DRAM demand hovers around the DRAM rate.
+    clock += Time::ps(static_cast<i64>(rng.below(120'000'000)));
+    Time now = clock;
+    const auto where = [&] { return "lifecycle " + std::to_string(step); };
+    const Time dma = ms.dma_write(strip, kStrip, now);
+    ASSERT_EQ(dma, ref.dma_write(strip, kStrip, now)) << where();
+    free_dram.dma_write(strip, kStrip, now);
+    now += dma;
+    const struct {
+      CoreId core;
+      MemorySystem::AccessType type;
+      int reuse;
+    } touches[] = {{writer, MemorySystem::AccessType::kWrite, 1},
+                   {reader, MemorySystem::AccessType::kRead, 3}};
+    for (const auto& t : touches) {
+      const Time got = ms.access(t.core, strip, kStrip, t.type, now, t.reuse);
+      ASSERT_EQ(got, ref.access(t.core, strip, kStrip, t.type, now, t.reuse))
+          << where();
+      if (got > free_dram.access(t.core, strip, kStrip, t.type, now,
+                                 t.reuse)) {
+        ++queued;
+      }
+      now += got;
+    }
+    ASSERT_EQ(ms.dram_busy_time(), ref.dram_busy_time()) << where();
+    ASSERT_EQ(ms.dram_line_writes(), ref.dram_line_writes()) << where();
+    for (CoreId c = 0; c < kCores; ++c) {
+      ASSERT_EQ(ms.core_stats(c).misses_dram, ref.core_stats(c).misses_dram)
+          << where();
+      ASSERT_EQ(ms.core_stats(c).writebacks, ref.core_stats(c).writebacks)
+          << where();
+    }
+    if (step % 100 == 0) {
+      ASSERT_EQ(ms.check_coherence(), "") << where();
+    }
+  }
+  EXPECT_GT(ms.dram_line_writes(), 10'000u);  // dirty victims were booked
+  EXPECT_GT(queued, kLifecycles / 4u);        // the allowance was crossed
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace saisim::mem {
 namespace {
 
@@ -204,6 +209,103 @@ TEST(MemorySystem, MissRateDefinitionMatchesPaper) {
   s.misses_c2c = 15;
   s.hits = 75;
   EXPECT_DOUBLE_EQ(s.miss_rate(), 0.25);
+}
+
+// book_run() against book_line() on every line of the same points: equal
+// delay per run, equal busy time, and equal results for the next 100
+// single bookings (so the state it leaves behaves the same). Runs mix
+// dense, miss-paced and sparse gaps, 1- and 2-line points, arrivals that
+// step back behind earlier runs, and general bookings in between, so
+// backlogs cross the allowance both ways.
+TEST(DramController, RunBookingMatchesPerLineBooking) {
+  struct Pt {
+    i64 cycles;
+    u32 lines;
+  };
+  const i64 mbps_options[] = {1333, 5333};
+  const Frequency freq_options[] = {Frequency::mhz(2'100),
+                                    Frequency::mhz(2'700)};
+  const u64 allowance_options[] = {0, 1024, 4096, 16384};
+  Rng rng(0xB00C);
+  u64 runs = 0, queued_runs = 0;
+  for (const i64 mbps : mbps_options) {
+    for (const Frequency freq : freq_options) {
+      for (const u64 allowance : allowance_options) {
+        const Bandwidth bw = Bandwidth::mb_per_sec(mbps);
+        // drains[k]: the fewest cycles whose interval drains k lines.
+        i64 drains[3] = {};
+        for (u64 k = 1; k <= 2; ++k) {
+          while (static_cast<u64>(bw.bytes_per_second()) *
+                     static_cast<u64>(
+                         freq.duration(Cycles{drains[k]}).picoseconds()) /
+                     1'000'000'000'000ull <
+                 64 * k) {
+            ++drains[k];
+          }
+        }
+        for (int trial = 0; trial < 24; ++trial) {
+          DramController by_run(bw, 64, allowance, freq);
+          DramController by_line(bw, 64, allowance, freq);
+          Time clock = Time::ms(10);
+          for (int r = 0; r < 40; ++r, ++runs) {
+            const auto where = [&] {
+              return std::to_string(mbps) + " MB/s " +
+                     std::to_string(freq.hertz()) + " Hz allowance " +
+                     std::to_string(allowance) + " trial " +
+                     std::to_string(trial) + " run " + std::to_string(r);
+            };
+            if (rng.chance(0.05)) {
+              const u64 bytes = 1 + rng.below(8192);
+              ASSERT_EQ(by_run.book(bytes, clock), by_line.book(bytes, clock))
+                  << where();
+            }
+            std::vector<Pt> pts;
+            const u64 n = rng.chance(0.1) ? 1 : 1 + rng.below(256);
+            // Dense, miss-paced, sparse, or gaps at and just below the
+            // bound where an interval drains a point's lines.
+            const u64 mode = rng.below(4);
+            const i64 near = drains[1 + rng.below(2)] - 2 +
+                             static_cast<i64>(rng.below(3));
+            i64 cycles = static_cast<i64>(rng.below(2'000));
+            for (u64 k = 0; k < n; ++k) {
+              const i64 roll = static_cast<i64>(rng.below(5'000));
+              cycles += mode == 0   ? roll % 40
+                        : mode == 1 ? 250 + roll % 60
+                        : mode == 2 ? 250 + roll
+                                    : near + roll % 2;
+              pts.push_back({cycles, rng.chance(0.3) ? 2u : 1u});
+            }
+            const Time now =
+                rng.chance(0.3)
+                    ? clock - Time::ps(static_cast<i64>(rng.below(3'000'000)))
+                    : clock;
+            const Time queue = Time::ps(static_cast<i64>(rng.below(1'000)));
+            DramRun run;
+            for (const Pt& p : pts) run.add(p.cycles, p.lines);
+            const Time got = by_run.book_run(run, now, queue);
+            Time q = queue;
+            for (const Pt& p : pts) {
+              const Time arrival = now + freq.duration(Cycles{p.cycles}) + q;
+              for (u32 l = 0; l < p.lines; ++l) q += by_line.book_line(arrival);
+            }
+            ASSERT_EQ(got, q - queue) << where();
+            ASSERT_EQ(by_run.busy(), by_line.busy()) << where();
+            if (got > Time::zero()) ++queued_runs;
+            clock += Time::ps(static_cast<i64>(rng.below(
+                mode == 0 ? 200'000 : 4'000'000)));
+          }
+          for (int k = 0; k < 100; ++k) {
+            clock += Time::ps(static_cast<i64>(rng.below(60'000)));
+            ASSERT_EQ(by_run.book_line(clock), by_line.book_line(clock))
+                << "trial " << trial << " single booking " << k;
+          }
+          ASSERT_EQ(by_run.busy(), by_line.busy());
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 2u * 2 * 4 * 24 * 40);
+  EXPECT_GT(queued_runs, runs / 10);  // the allowance was really crossed
 }
 
 }  // namespace
